@@ -12,8 +12,8 @@
 
 use aie_sim::{simulate_graph, SimConfig, Variant};
 use cgsim_core::{GraphBuilder, PortSettings};
-use cgsim_runtime::{compute_kernel, KernelLibrary, RuntimeConfig, RuntimeContext};
-use cgsim_threads::{ThreadedConfig, ThreadedContext};
+use cgsim_runtime::{compute_kernel, KernelLibrary, RuntimeConfig, RuntimeContext, Session};
+use cgsim_threads::ThreadedContext;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
@@ -140,8 +140,7 @@ fn bench_crossover(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("threaded", spins), &spins, |b, &s| {
             SPIN.store(s, std::sync::atomic::Ordering::Relaxed);
             b.iter(|| {
-                let mut ctx =
-                    ThreadedContext::new(&graph, &lib, ThreadedConfig::default()).unwrap();
+                let mut ctx = ThreadedContext::new(&graph, &lib, RuntimeConfig::default()).unwrap();
                 ctx.feed(0, (0..4096).map(|i| i as f32).collect::<Vec<_>>())
                     .unwrap();
                 let out = ctx.collect::<f32>(0).unwrap();

@@ -19,7 +19,7 @@ use cgsim_compiled::CompiledContext;
 use cgsim_core::{FlatGraph, GraphBuilder, PortSettings};
 use cgsim_graphs::EvalApp;
 use cgsim_runtime::{
-    compute_kernel, Backend, KernelLibrary, RunSpec, RuntimeConfig, RuntimeContext,
+    compute_kernel, Backend, KernelLibrary, RunSpec, RuntimeConfig, RuntimeContext, Session,
 };
 use std::hint::black_box;
 use std::time::Instant;

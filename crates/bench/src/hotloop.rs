@@ -8,6 +8,10 @@
 //! * **fastpath** — the optimised loop: single-thread fast-path channels,
 //!   sampled profiling, and batched `push_slice`/`pop_chunk` window I/O.
 //!
+//! The paper-graph workloads run through the cooperative engine, whose
+//! channels are always single-thread: there the legs differ in profiling
+//! only.
+//!
 //! The same workloads back both the Criterion suite (`benches/hotloop.rs`)
 //! and the `bench-report` binary that emits `BENCH_PR4.json`.
 
@@ -244,17 +248,13 @@ pub fn traced_pipeline(
     tracer.snapshot()
 }
 
-/// Run one paper evaluation graph end-to-end under the leg's runtime
-/// configuration. The kernels' own I/O idiom is part of the app, so `batch`
-/// is not applied here; the leg only selects channel mode + profiling.
+/// Run one paper evaluation graph end-to-end under the leg's profiling
+/// mode. The kernels' own I/O idiom is part of the app, so `batch` is not
+/// applied here, and the cooperative engine always uses its single-thread
+/// channels, so neither is `mode`: the two legs differ only in per-poll
+/// timing.
 pub fn paper_graph(app: &dyn EvalApp, leg: &LegConfig, blocks: u64) -> Measured {
-    let spec = RunSpec::for_graph(app.name()).channels(leg.mode).profiling(
-        if leg.mode == ChannelMode::Shared {
-            Profiling::Full
-        } else {
-            leg.profiling
-        },
-    );
+    let spec = RunSpec::for_graph(app.name()).profiling(leg.profiling);
     let run = app
         .run_spec(&spec, blocks)
         .unwrap_or_else(|e| panic!("{} under {}: {e}", app.name(), leg.name));

@@ -27,10 +27,10 @@ use aie_sim::{simulate_graph, KernelCostProfile, PortTraffic, SimConfig, Workloa
 use cgsim_compiled::{compile, CompiledContext, CompiledPlan};
 use cgsim_core::{ConnectorId, PortKind};
 use cgsim_runtime::{
-    ChannelMode, ChannelStats, FaultPlan, KernelLibrary, Profiling, RunReport, RunSpec,
-    RuntimeConfig, RuntimeContext, Schedule, SchedulePolicy,
+    ChannelStats, FaultPlan, KernelLibrary, Profiling, RunReport, RunSpec, RuntimeConfig,
+    RuntimeContext, Schedule, SchedulePolicy, Session,
 };
-use cgsim_threads::{ThreadedConfig, ThreadedContext};
+use cgsim_threads::ThreadedContext;
 use cgsim_trace::{invariants, Tracer};
 use std::collections::HashMap;
 
@@ -43,10 +43,9 @@ pub struct OracleConfig {
     pub fault_rounds: u32,
     /// Run the LIFO (depth-first) permutation leg.
     pub lifo: bool,
-    /// Run the channel-backend and profiling-mode legs (mutex-guarded
-    /// channels, profiling off, full per-poll timing) — these exercise the
-    /// hot-loop configuration axes and must be bit-identical to the
-    /// reference.
+    /// Run the profiling-mode legs (profiling off, full per-poll timing) —
+    /// these exercise the hot-loop configuration axis and must be
+    /// bit-identical to the reference.
     pub backend_legs: bool,
     /// Run one round with an early-closing sink on output 0.
     pub early_close: bool,
@@ -211,11 +210,9 @@ pub fn check_case(case: &GeneratedCase, cfg: &OracleConfig) -> CaseVerdict {
     }
 
     if cfg.backend_legs {
-        // Same FIFO schedule as the reference, varying only the hot-loop
-        // configuration axes: channel storage policy and profiling mode.
-        // All three must be bit-identical to the reference leg.
+        // Same FIFO schedule as the reference, varying only the profiling
+        // mode. Both must be bit-identical to the reference leg.
         let backend_specs = [
-            coop_spec(cfg, "coop-mutex", Schedule::Fifo).channels(ChannelMode::Shared),
             coop_spec(cfg, "coop-prof-off", Schedule::Fifo).profiling(Profiling::Off),
             coop_spec(cfg, "coop-prof-full", Schedule::Fifo).profiling(Profiling::Full),
         ];
@@ -404,7 +401,7 @@ pub fn check_case(case: &GeneratedCase, cfg: &OracleConfig) -> CaseVerdict {
                 legs += 1;
                 compare_outputs(label, &got, &reference, case, &mut failures);
                 if check_tightness {
-                    let name = connector_display_name(graph, target);
+                    let name = graph.connector_name(target);
                     match report.channels.iter().find(|(n, _)| n == &name) {
                         Some((_, stats)) => {
                             if bounds[target] > stats.max_occupancy.saturating_mul(2) {
@@ -502,15 +499,9 @@ fn check_conservation(
     failures: &mut Vec<String>,
 ) {
     let graph = &case.graph;
-    let mut by_name: HashMap<String, usize> = HashMap::new();
-    for ci in 0..graph.connectors.len() {
-        let name = graph.connectors[ci]
-            .attrs
-            .get_str("name")
-            .map(str::to_owned)
-            .unwrap_or_else(|| format!("c{ci}"));
-        by_name.insert(name, ci);
-    }
+    let by_name: HashMap<String, usize> = (0..graph.connectors.len())
+        .map(|ci| (graph.connector_name(ci), ci))
+        .collect();
     for (name, stats) in channels {
         let Some(&ci) = by_name.get(name) else {
             failures.push(format!("{label}: report names unknown channel {name}"));
@@ -543,16 +534,6 @@ fn coop_spec(cfg: &OracleConfig, label: impl Into<String>, schedule: Schedule) -
         .schedule(schedule)
 }
 
-/// Display name of connector `ci` — the same convention the runtime's
-/// channel reports use.
-fn connector_display_name(graph: &cgsim_core::FlatGraph, ci: usize) -> String {
-    graph.connectors[ci]
-        .attrs
-        .get_str("name")
-        .map(str::to_owned)
-        .unwrap_or_else(|| format!("c{ci}"))
-}
-
 /// One cooperative-executor leg. Returns the collected sink outputs, or
 /// `None` when the run could not even be set up (already reported). When
 /// `bounds` is given, the runtime's bounds-check mode is armed with it and
@@ -580,24 +561,82 @@ fn run_cooperative_report(
     policy: Option<Box<dyn SchedulePolicy>>,
     failures: &mut Vec<String>,
 ) -> Option<(Vec<Vec<i64>>, RunReport)> {
-    let label = spec.label();
     // Tracer::enabled() degrades to a no-op in untraced builds; the
-    // invariant pass below then sees an empty snapshot and checks nothing,
-    // while the channel-counter conservation law still applies.
-    let tracer = Tracer::enabled();
-    let mut ctx = match RuntimeContext::from_spec_with_tracer(&case.graph, lib, spec, tracer) {
-        Ok(ctx) => ctx,
-        Err(e) => {
-            failures.push(format!("{label}: context construction failed: {e}"));
-            return None;
-        }
-    };
+    // invariant pass then sees an empty snapshot and checks nothing, while
+    // the channel-counter conservation law still applies.
+    let ctx = RuntimeContext::from_spec_with_tracer(&case.graph, lib, spec, Tracer::enabled());
+    let mut ctx = constructed(ctx, spec.label(), failures)?;
     if let Some(bounds) = bounds {
         ctx.set_bounds_check(bounds.to_vec());
     }
     if let Some(policy) = policy {
         ctx.set_schedule_policy(policy);
     }
+    run_leg(ctx, case, spec.label(), bound_limit, failures)
+}
+
+/// One compiled-backend leg: instantiate `plan` (possibly shared with the
+/// sibling reuse leg), run to quiescence, and apply every check the
+/// cooperative legs get — plus the compiled engine's own guarantee that its
+/// schedule-derived buffer bound is never exceeded (`blocked_writes == 0`).
+fn run_compiled(
+    case: &GeneratedCase,
+    lib: &KernelLibrary,
+    plan: CompiledPlan,
+    cfg: &OracleConfig,
+    label: &str,
+    failures: &mut Vec<String>,
+) -> Option<Vec<Vec<i64>>> {
+    let spec = coop_spec(cfg, label, Schedule::Fifo);
+    let mut ctx = CompiledContext::with_plan(&case.graph, lib, plan, &spec);
+    ctx.set_tracer(Tracer::enabled());
+    let (outputs, report) = run_leg(ctx, case, label, None, failures)?;
+    for (name, stats) in &report.channels {
+        if stats.blocked_writes != 0 {
+            failures.push(format!(
+                "{label}: channel {name}: {} blocked writes — the compiled \
+                 capacity bound was exceeded",
+                stats.blocked_writes
+            ));
+        }
+    }
+    Some(outputs)
+}
+
+/// The thread-per-kernel leg (the paper's x86sim counterpart).
+fn run_threaded(
+    case: &GeneratedCase,
+    lib: &KernelLibrary,
+    label: &str,
+    failures: &mut Vec<String>,
+) -> Option<Vec<Vec<i64>>> {
+    let ctx = ThreadedContext::new(&case.graph, lib, RuntimeConfig::default());
+    let ctx = constructed(ctx, label, failures)?;
+    run_leg(ctx, case, label, None, failures).map(|(outputs, _)| outputs)
+}
+
+/// Unwrap a freshly constructed session, reporting a construction error.
+fn constructed<S>(
+    ctx: Result<S, cgsim_core::GraphError>,
+    label: &str,
+    failures: &mut Vec<String>,
+) -> Option<S> {
+    ctx.map_err(|e| failures.push(format!("{label}: context construction failed: {e}")))
+        .ok()
+}
+
+/// Feed every input, bind every output (output 0 closing early after
+/// `bound_limit` elements when given), run, and apply the checks every
+/// engine's report must pass: drained, channel conservation, no bounds
+/// violation, trace invariants. Returns the sink outputs and the report, or
+/// `None` when the run could not complete (already reported).
+fn run_leg<S: Session>(
+    mut ctx: S,
+    case: &GeneratedCase,
+    label: &str,
+    bound_limit: Option<usize>,
+    failures: &mut Vec<String>,
+) -> Option<(Vec<Vec<i64>>, RunReport)> {
     for (i, feed) in case.feeds.iter().enumerate() {
         if let Err(e) = ctx.feed(i, feed.clone()) {
             failures.push(format!("{label}: feed {i} failed: {e}"));
@@ -606,11 +645,8 @@ fn run_cooperative_report(
     }
     let mut sinks = Vec::with_capacity(case.graph.outputs.len());
     for oi in 0..case.graph.outputs.len() {
-        let handle = match bound_limit {
-            Some(limit) if oi == 0 => ctx.collect_bounded::<i64>(oi, limit),
-            _ => ctx.collect::<i64>(oi),
-        };
-        match handle {
+        let limit = bound_limit.filter(|_| oi == 0).unwrap_or(usize::MAX);
+        match ctx.collect_bounded::<i64>(oi, limit) {
             Ok(h) => sinks.push(h),
             Err(e) => {
                 failures.push(format!("{label}: collect {oi} failed: {e}"));
@@ -648,107 +684,6 @@ fn run_cooperative_report(
         failures.push(format!("{label}: trace invariant violated: {msg}"));
     }
     Some((sinks.iter().map(|h| h.take()).collect(), report))
-}
-
-/// One compiled-backend leg: instantiate `plan` (possibly shared with the
-/// sibling reuse leg), run to quiescence, and apply every check the
-/// cooperative legs get — plus the compiled engine's own guarantee that its
-/// schedule-derived buffer bound is never exceeded (`blocked_writes == 0`).
-fn run_compiled(
-    case: &GeneratedCase,
-    lib: &KernelLibrary,
-    plan: CompiledPlan,
-    cfg: &OracleConfig,
-    label: &str,
-    failures: &mut Vec<String>,
-) -> Option<Vec<Vec<i64>>> {
-    let spec = coop_spec(cfg, label, Schedule::Fifo);
-    let mut ctx = CompiledContext::with_plan(&case.graph, lib, plan, *spec.config());
-    ctx.set_tracer(Tracer::enabled());
-    for (i, feed) in case.feeds.iter().enumerate() {
-        if let Err(e) = ctx.feed(i, feed.clone()) {
-            failures.push(format!("{label}: feed {i} failed: {e}"));
-            return None;
-        }
-    }
-    let mut sinks = Vec::with_capacity(case.graph.outputs.len());
-    for oi in 0..case.graph.outputs.len() {
-        match ctx.collect::<i64>(oi) {
-            Ok(h) => sinks.push(h),
-            Err(e) => {
-                failures.push(format!("{label}: collect {oi} failed: {e}"));
-                return None;
-            }
-        }
-    }
-    let report = match ctx.run() {
-        Ok(r) => r,
-        Err(e) => {
-            failures.push(format!("{label}: run failed: {e}"));
-            return None;
-        }
-    };
-    if !report.drained() {
-        failures.push(format!(
-            "{label}: not drained after {} polls; stalled: {:?}",
-            report.exec.polls, report.stalled
-        ));
-    }
-    for (name, stats) in &report.channels {
-        if stats.blocked_writes != 0 {
-            failures.push(format!(
-                "{label}: channel {name}: {} blocked writes — the compiled \
-                 capacity bound was exceeded",
-                stats.blocked_writes
-            ));
-        }
-    }
-    check_conservation(case, &report.channels, true, label, failures);
-    for msg in invariants::check(&report.trace) {
-        failures.push(format!("{label}: trace invariant violated: {msg}"));
-    }
-    Some(sinks.iter().map(|h| h.take()).collect())
-}
-
-/// The thread-per-kernel leg (the paper's x86sim counterpart).
-fn run_threaded(
-    case: &GeneratedCase,
-    lib: &KernelLibrary,
-    label: &str,
-    failures: &mut Vec<String>,
-) -> Option<Vec<Vec<i64>>> {
-    let mut ctx = match ThreadedContext::new(&case.graph, lib, ThreadedConfig::default()) {
-        Ok(ctx) => ctx,
-        Err(e) => {
-            failures.push(format!("{label}: context construction failed: {e}"));
-            return None;
-        }
-    };
-    for (i, feed) in case.feeds.iter().enumerate() {
-        if let Err(e) = ctx.feed(i, feed.clone()) {
-            failures.push(format!("{label}: feed {i} failed: {e}"));
-            return None;
-        }
-    }
-    let mut sinks = Vec::with_capacity(case.graph.outputs.len());
-    for oi in 0..case.graph.outputs.len() {
-        match ctx.collect::<i64>(oi) {
-            Ok(h) => sinks.push(h),
-            Err(e) => {
-                failures.push(format!("{label}: collect {oi} failed: {e}"));
-                return None;
-            }
-        }
-    }
-    let report = match ctx.run() {
-        Ok(r) => r,
-        Err(e) => {
-            failures.push(format!("{label}: run failed: {e}"));
-            return None;
-        }
-    };
-    check_conservation(case, &report.channels, true, label, failures);
-    Some(sinks.iter().map(|h| h.take()).collect())
 }
 
 /// The DES leg: the cycle-approximate simulation has no data values, so the
@@ -835,7 +770,7 @@ mod tests {
         assert!(verdict.ok(), "{:#?}", verdict.failures);
         let expected = 1 // fifo
             + 1 // lifo
-            + 3 // backend legs: mutex channels, profiling off, profiling full
+            + 2 // profiling legs: off, full
             + if verdict.compiled_rejected { 0 } else { 2 } // compiled + compiled-reuse
             + cfg.schedules as usize
             + cfg.fault_rounds as usize

@@ -1,65 +1,21 @@
 //! The compiled executor: plan instantiation and fixed-order execution.
 
 use crate::compiler::{compile, CompileError, CompiledPlan, RejectReason};
-use cgsim_core::{ConnectorId, DTypeDesc, FlatGraph, GraphError, StreamData};
-use cgsim_runtime::channel::{Channel, ChannelMode};
+use cgsim_core::{FlatGraph, GraphError, StreamData};
+use cgsim_runtime::channel::ChannelMode;
 use cgsim_runtime::executor::{
     CancelToken, ExecStats, Interrupt, LocalBoxFuture, Profiling, TaskProfile,
 };
-use cgsim_runtime::library::{AnyChannel, KernelLibrary, PortBinder};
+use cgsim_runtime::library::{KernelLibrary, PortBinder};
+use cgsim_runtime::session::{input_connector, output_connector, sink, source, IoWiring};
 use cgsim_runtime::spec::RunSpec;
-use cgsim_runtime::{RunReport, RuntimeConfig, SinkHandle};
+use cgsim_runtime::{RunReport, RuntimeConfig, Session, SinkHandle};
 use cgsim_trace::{KernelRef, TraceEvent, Tracer};
-use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 use std::time::{Duration, Instant};
 
-/// Display name for connector `ci` (same convention as the cooperative
-/// context): the builder-given name when present, else positional `c{ci}`.
-fn connector_name(graph: &FlatGraph, ci: usize) -> String {
-    graph.connectors[ci]
-        .attrs
-        .get_str("name")
-        .map(str::to_owned)
-        .unwrap_or_else(|| format!("c{ci}"))
-}
-
-/// Everything an I/O builder needs to materialise a typed channel for a
-/// passthrough connector at instantiation time.
-struct IoWiring<'a> {
-    capacity: usize,
-    mode: ChannelMode,
-    tracer: &'a Tracer,
-    name: &'a str,
-}
-
-/// Resolve (or lazily create, for global passthrough connectors) the typed
-/// channel behind `slot` — the deferred twin of the cooperative context's
-/// `typed_channel`.
-fn typed_slot<T: StreamData>(
-    slot: &mut AnyChannel,
-    connector: ConnectorId,
-    dtype: DTypeDesc,
-    w: &IoWiring<'_>,
-) -> Result<Arc<Channel<T>>, GraphError> {
-    if let Ok(chan) = slot.clone().downcast::<Channel<T>>() {
-        return Ok(chan);
-    }
-    if slot.clone().downcast::<()>().is_ok() {
-        let chan = Channel::<T>::with_mode(w.capacity.max(1), w.mode);
-        chan.instrument(w.tracer, w.name);
-        *slot = AnyChannel::typed(chan.clone());
-        return Ok(chan);
-    }
-    Err(GraphError::IoTypeMismatch {
-        connector,
-        expected: Box::new(dtype),
-    })
-}
-
 /// A deferred source or sink: builds its coroutine once the channels exist.
-type IoBuild =
-    Box<dyn FnOnce(&mut AnyChannel, &IoWiring<'_>) -> Result<LocalBoxFuture, GraphError>>;
+type IoBuild = Box<dyn for<'g> FnOnce(&mut IoWiring<'g>) -> Result<LocalBoxFuture, GraphError>>;
 
 struct PendingFeed {
     /// Elements this source will push — the workload length that scales the
@@ -104,7 +60,7 @@ impl Task {
 ///   plan's period bounds scaled by the feed length, so in the common case
 ///   a single sweep drains the whole run and every coroutine completes in
 ///   one poll.
-/// * **Channel creation is deferred to [`CompiledContext::run`]**, when all
+/// * **Channel creation is deferred to [`Session::run`]**, when all
 ///   feed lengths are known; `feed`/`collect` only record intentions.
 /// * **Schedule policy and fault injection do not apply** (the order is the
 ///   plan); [`CompiledContext::from_spec`] rejects fault-carrying specs
@@ -131,29 +87,28 @@ impl<'g> CompiledContext<'g> {
         library: &'g KernelLibrary,
         config: RuntimeConfig,
     ) -> Result<Self, CompileError> {
-        let lint_cfg = cgsim_lint::LintConfig {
-            default_depth: config.default_depth as u32,
-            ..cgsim_lint::LintConfig::default()
-        };
-        let plan = compile(graph, &lint_cfg)?;
-        Ok(Self::with_plan(graph, library, plan, config))
+        let plan = compile(graph, &lint_config(&config))?;
+        let spec = RunSpec::default().with_config(config);
+        Ok(Self::with_plan(graph, library, plan, &spec))
     }
 
-    /// Instantiate a previously compiled plan — the reuse path: one
-    /// [`compile`] call, many contexts (e.g. one per sweep job).
+    /// Instantiate a previously compiled plan under `spec` — the reuse
+    /// path: one [`compile`] call, many contexts (e.g. one per sweep job).
+    /// A deadline budget in `spec` is armed from this instant; a fault
+    /// plan is ignored (see [`CompiledContext::from_spec`]).
     pub fn with_plan(
         graph: &'g FlatGraph,
         library: &'g KernelLibrary,
         plan: CompiledPlan,
-        config: RuntimeConfig,
+        spec: &RunSpec,
     ) -> Self {
         CompiledContext {
             graph,
             library,
             plan,
-            config,
+            config: *spec.config(),
             tracer: Tracer::default(),
-            deadline: None,
+            deadline: spec.deadline_budget().map(|budget| Instant::now() + budget),
             cancel: None,
             feeds: (0..graph.inputs.len()).map(|_| None).collect(),
             sinks: (0..graph.outputs.len()).map(|_| None).collect(),
@@ -168,28 +123,14 @@ impl<'g> CompiledContext<'g> {
         library: &'g KernelLibrary,
         spec: &RunSpec,
     ) -> Result<Self, CompileError> {
-        Self::from_spec_with_tracer(graph, library, spec, Tracer::default())
-    }
-
-    /// [`CompiledContext::from_spec`] with an attached tracer.
-    pub fn from_spec_with_tracer(
-        graph: &'g FlatGraph,
-        library: &'g KernelLibrary,
-        spec: &RunSpec,
-        tracer: Tracer,
-    ) -> Result<Self, CompileError> {
         if spec.config().faults.is_some() {
             return Err(CompileError::NotStaticallySchedulable {
                 reason: RejectReason::FaultPlan,
                 details: format!("spec `{}` requests seeded fault injection", spec.label()),
             });
         }
-        let mut ctx = Self::new(graph, library, *spec.config())?;
-        ctx.tracer = tracer;
-        if let Some(budget) = spec.deadline_budget() {
-            ctx.deadline = Some(Instant::now() + budget);
-        }
-        Ok(ctx)
+        let plan = compile(graph, &lint_config(spec.config()))?;
+        Ok(Self::with_plan(graph, library, plan, spec))
     }
 
     /// The plan this context instantiates.
@@ -213,102 +154,55 @@ impl<'g> CompiledContext<'g> {
     pub fn set_cancel(&mut self, token: CancelToken) {
         self.cancel = Some(token);
     }
+}
 
+/// The lint configuration a run under `config` compiles and sizes with.
+fn lint_config(config: &RuntimeConfig) -> cgsim_lint::LintConfig {
+    cgsim_lint::LintConfig {
+        default_depth: config.default_depth as u32,
+        ..cgsim_lint::LintConfig::default()
+    }
+}
+
+impl Session for CompiledContext<'_> {
     /// Record a data source for positional global input `index`. The data
     /// is buffered now; the source coroutine and its channel are created at
-    /// [`CompiledContext::run`], when the feed length has fixed the buffer
+    /// [`Session::run`], when the feed length has fixed the buffer
     /// capacities.
-    pub fn feed<T: StreamData>(
+    fn feed<T: StreamData>(
         &mut self,
         index: usize,
-        data: impl IntoIterator<Item = T> + 'static,
+        data: impl IntoIterator<Item = T> + Send + 'static,
     ) -> Result<(), GraphError> {
-        let Some(&connector) = self.graph.inputs.get(index) else {
-            return Err(GraphError::IoArityMismatch {
-                what: "inputs",
-                expected: self.graph.inputs.len(),
-                actual: index + 1,
-            });
-        };
+        input_connector(self.graph, index)?;
         let data: Vec<T> = data.into_iter().collect();
         let len = data.len();
-        let dtype = self.graph.connectors[connector.index()].dtype.clone();
-        let build: IoBuild = Box::new(move |slot, w| {
-            let chan = typed_slot::<T>(slot, connector, dtype, w)?;
-            let mut tx = chan.add_producer();
-            Ok(Box::pin(async move {
-                for v in data {
-                    tx.send(v).await;
-                }
-            }))
-        });
+        let build: IoBuild =
+            Box::new(move |io| Ok(Box::pin(source(io.producer::<T>(index)?, data))));
         self.feeds[index] = Some(PendingFeed { len, build });
         Ok(())
     }
 
-    /// Record a single-value source — the paper's Runtime Parameter source.
-    pub fn feed_param<T: StreamData>(&mut self, index: usize, value: T) -> Result<(), GraphError> {
-        self.feed(index, std::iter::once(value))
-    }
-
     /// Record a sink for positional global output `index`; the handle
-    /// resolves after [`CompiledContext::run`].
-    pub fn collect<T: StreamData>(&mut self, index: usize) -> Result<SinkHandle<T>, GraphError> {
-        self.collect_impl(index, None)
-    }
-
-    /// Like [`CompiledContext::collect`], but the sink closes its consumer
-    /// end after `limit` elements (the early-close fault mode shared with
-    /// the cooperative engine).
-    pub fn collect_bounded<T: StreamData>(
+    /// resolves after [`Session::run`].
+    fn collect_bounded<T: StreamData>(
         &mut self,
         index: usize,
         limit: usize,
     ) -> Result<SinkHandle<T>, GraphError> {
-        self.collect_impl(index, Some(limit))
-    }
-
-    fn collect_impl<T: StreamData>(
-        &mut self,
-        index: usize,
-        limit: Option<usize>,
-    ) -> Result<SinkHandle<T>, GraphError> {
-        let Some(&connector) = self.graph.outputs.get(index) else {
-            return Err(GraphError::IoArityMismatch {
-                what: "outputs",
-                expected: self.graph.outputs.len(),
-                actual: index + 1,
-            });
-        };
-        let dtype = self.graph.connectors[connector.index()].dtype.clone();
+        output_connector(self.graph, index)?;
         let handle = SinkHandle::<T>::new();
-        let sink_data = handle.shared();
-        let build: IoBuild = Box::new(move |slot, w| {
-            let chan = typed_slot::<T>(slot, connector, dtype, w)?;
-            let mut rx = chan.add_consumer();
-            Ok(match limit {
-                None => Box::pin(async move {
-                    while let Some(v) = rx.recv().await {
-                        sink_data.lock().unwrap().push(v);
-                    }
-                }),
-                Some(limit) => Box::pin(async move {
-                    while sink_data.lock().unwrap().len() < limit {
-                        let Some(v) = rx.recv().await else { return };
-                        sink_data.lock().unwrap().push(v);
-                    }
-                }),
-            })
-        });
+        let out = handle.shared();
+        let build: IoBuild =
+            Box::new(move |io| Ok(Box::pin(sink(io.consumer::<T>(index)?, out, limit))));
         self.sinks[index] = Some(build);
         Ok(handle)
     }
 
     /// Execute the plan: materialise channels at the schedule-derived
     /// capacities, spawn all coroutines, and sweep them in precompiled
-    /// order until quiescence. Every global input must have been fed and
-    /// every output bound, as under the cooperative engine.
-    pub fn run(self) -> Result<RunReport, GraphError> {
+    /// order until quiescence.
+    fn run(self) -> Result<RunReport, GraphError> {
         let CompiledContext {
             graph,
             library,
@@ -320,20 +214,6 @@ impl<'g> CompiledContext<'g> {
             feeds,
             sinks,
         } = self;
-        if let Some(missing) = feeds.iter().position(Option::is_none) {
-            return Err(GraphError::IoArityMismatch {
-                what: "inputs",
-                expected: graph.inputs.len(),
-                actual: missing,
-            });
-        }
-        if let Some(missing) = sinks.iter().position(Option::is_none) {
-            return Err(GraphError::IoArityMismatch {
-                what: "outputs",
-                expected: graph.outputs.len(),
-                actual: missing,
-            });
-        }
 
         // Channel capacity per connector: the exact workload token traffic
         // from the `CG060` bounds analysis (total ever pushed through the
@@ -346,16 +226,14 @@ impl<'g> CompiledContext<'g> {
         // bit-identical streams; the fallback below (cyclic dataflow, which
         // the compiler rejects anyway) keeps the old formula as a safety
         // net.
+        // An unfed input counts as empty here; the completeness check below
+        // reports it once the fed sources are wired.
         let sched = plan.schedule();
         let feed_lens: Vec<u64> = feeds
             .iter()
-            .map(|f| f.as_ref().expect("checked above").len as u64)
+            .map(|f| f.as_ref().map_or(0, |f| f.len as u64))
             .collect();
-        let lint_cfg = cgsim_lint::LintConfig {
-            default_depth: config.default_depth as u32,
-            ..cgsim_lint::LintConfig::default()
-        };
-        let workload = cgsim_lint::workload_tokens(graph, &lint_cfg, &feed_lens);
+        let workload = cgsim_lint::workload_tokens(graph, &lint_config(&config), &feed_lens);
         let capacities: Vec<usize> = (0..graph.connectors.len())
             .map(|ci| {
                 let need = match &workload {
@@ -375,80 +253,44 @@ impl<'g> CompiledContext<'g> {
                 usize::try_from(need.max(declared).max(1)).unwrap_or(usize::MAX)
             })
             .collect();
-
-        // Materialise kernel-typed channels; passthrough connectors start
-        // as placeholders that the I/O builders replace with typed ones.
-        let mut channels: Vec<AnyChannel> = Vec::with_capacity(graph.connectors.len());
-        for (ci, &capacity) in capacities.iter().enumerate() {
-            let endpoint = graph.kernels.iter().enumerate().find_map(|(ki, k)| {
-                k.ports
-                    .iter()
-                    .position(|p| p.connector.index() == ci)
-                    .map(|pi| (ki, pi))
-            });
-            match endpoint {
-                Some((ki, pi)) => {
-                    let entry = library.get(&graph.kernels[ki].kind)?;
-                    let ch = entry.make_channel_mode(pi, capacity, config.channels)?;
-                    if let Some(admin) = ch.admin() {
-                        admin.instrument(&tracer, &connector_name(graph, ci));
-                    }
-                    channels.push(ch);
-                }
-                None => channels.push(AnyChannel::placeholder()),
-            }
-        }
+        let mut io = IoWiring::new(
+            graph,
+            library,
+            capacities,
+            ChannelMode::SingleThread,
+            tracer.clone(),
+        )?;
 
         // Build every coroutine before the first poll, so all consumers are
         // registered before any data can flow. Sweep order: sources, then
         // kernels in the compiled topological order, then sinks.
-        let mut sources = Vec::with_capacity(feeds.len());
+        let mut tasks = Vec::with_capacity(feeds.len() + graph.kernels.len() + sinks.len());
         for (idx, feed) in feeds.into_iter().enumerate() {
-            let PendingFeed { build, .. } = feed.expect("checked above");
-            let ci = graph.inputs[idx].index();
-            let name = connector_name(graph, ci);
-            let wiring = IoWiring {
-                capacity: capacities[ci],
-                mode: config.channels,
-                tracer: &tracer,
-                name: &name,
-            };
-            let fut = build(&mut channels[ci], &wiring)?;
-            sources.push(Task::new(format!("source_{idx}"), fut, &tracer));
+            if let Some(PendingFeed { build, .. }) = feed {
+                tasks.push(Task::new(format!("source_{idx}"), build(&mut io)?, &tracer));
+            }
         }
         let mut sink_tasks = Vec::with_capacity(sinks.len());
         for (idx, build) in sinks.into_iter().enumerate() {
-            let build = build.expect("checked above");
-            let ci = graph.outputs[idx].index();
-            let name = connector_name(graph, ci);
-            let wiring = IoWiring {
-                capacity: capacities[ci],
-                mode: config.channels,
-                tracer: &tracer,
-                name: &name,
-            };
-            let fut = build(&mut channels[ci], &wiring)?;
-            sink_tasks.push(Task::new(format!("sink_{idx}"), fut, &tracer));
+            if let Some(build) = build {
+                sink_tasks.push(Task::new(format!("sink_{idx}"), build(&mut io)?, &tracer));
+            }
         }
-        let mut tasks = sources;
         for &k in &sched.order {
             let kern = &graph.kernels[k.index()];
-            let entry = library.get(&kern.kind)?;
-            let kernel_channels: Vec<AnyChannel> = kern
-                .ports
-                .iter()
-                .map(|p| channels[p.connector.index()].clone())
-                .collect();
+            let kernel_channels = io.kernel_channels(kern);
             let mut binder = PortBinder::new(&kern.instance, &kernel_channels);
-            tasks.push(Task::new(
-                kern.instance.clone(),
-                entry.spawn(&mut binder)?,
-                &tracer,
-            ));
+            let fut = library.get(&kern.kind)?.spawn(&mut binder)?;
+            tasks.push(Task::new(kern.instance.clone(), fut, &tracer));
         }
         tasks.append(&mut sink_tasks);
+        io.check_complete()?;
 
-        let admins: Vec<_> = channels.iter().filter_map(|c| c.admin().cloned()).collect();
+        let admins: Vec<_> = io
+            .channels()
+            .iter()
+            .filter_map(|c| c.admin().cloned())
+            .collect();
 
         // The sweep loop. With the capacities above a merge-free balanced
         // graph drains in ONE sweep: each source pushes its whole stream in
@@ -556,12 +398,6 @@ impl<'g> CompiledContext<'g> {
             .filter(|t| !t.completed)
             .map(|t| t.label.clone())
             .collect();
-        let elements_moved = admins.iter().map(|a| a.total_pushed()).sum();
-        let channel_stats = channels
-            .iter()
-            .enumerate()
-            .filter_map(|(ci, c)| c.admin().map(|a| (connector_name(graph, ci), a.stats())))
-            .collect();
         let profiles: Vec<TaskProfile> = tasks
             .iter()
             .map(|t| TaskProfile {
@@ -584,9 +420,9 @@ impl<'g> CompiledContext<'g> {
                 interrupted,
             },
             stalled,
-            elements_moved,
+            elements_moved: io.elements_moved(),
             tasks: profiles,
-            channels: channel_stats,
+            channels: io.channel_stats(),
             trace: tracer.snapshot(),
             bounds_violations: Vec::new(),
         })

@@ -51,7 +51,7 @@ mod tests {
     use cgsim_core::GraphBuilder;
     use cgsim_lint::LintConfig;
     use cgsim_runtime::executor::FaultPlan;
-    use cgsim_runtime::{compute_kernel, KernelLibrary, RunSpec, RuntimeConfig};
+    use cgsim_runtime::{compute_kernel, KernelLibrary, RunSpec, RuntimeConfig, Session};
 
     compute_kernel! {
         /// Doubles every element.
@@ -184,7 +184,7 @@ mod tests {
         let lib = lib();
         let plan = compile(&g, &LintConfig::default()).unwrap();
         let run = |plan: CompiledPlan| {
-            let mut ctx = CompiledContext::with_plan(&g, &lib, plan, RuntimeConfig::default());
+            let mut ctx = CompiledContext::with_plan(&g, &lib, plan, &RunSpec::default());
             ctx.feed(0, (0..50i64).collect::<Vec<_>>()).unwrap();
             ctx.feed(1, (0..50i64).map(|v| v * 10).collect::<Vec<_>>())
                 .unwrap();

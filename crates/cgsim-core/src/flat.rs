@@ -123,6 +123,17 @@ impl FlatGraph {
         Ok(&self.connectors[id.index()])
     }
 
+    /// Display name of connector `ci`: the graph-builder name when one was
+    /// given (`g.input::<T>("a")`), else a positional `c{ci}` id. Channel
+    /// reports, traces, probes, bounds checks and bounds tables all name
+    /// connectors this way.
+    pub fn connector_name(&self, ci: usize) -> String {
+        self.connectors
+            .get(ci)
+            .and_then(|c| c.attrs.get_str("name"))
+            .map_or_else(|| format!("c{ci}"), str::to_owned)
+    }
+
     /// All kernel endpoints writing to `c`.
     pub fn producers_of(&self, c: ConnectorId) -> Vec<Endpoint> {
         self.endpoints_of(c, PortDir::Out)

@@ -58,12 +58,12 @@ pub struct AppRun {
     /// FNV-1a checksum over the output bytes (for cross-runtime equality
     /// checks without holding the data).
     pub checksum: u64,
-    /// Fraction of time spent in kernels (cooperative runs only; the §5.2
-    /// profiling claim).
+    /// Fraction of time spent in kernels (the §5.2 profiling claim). On the
+    /// threaded engine it is the busy time summed over all threads relative
+    /// to the wall time, capped at 1.
     pub kernel_fraction: Option<f64>,
-    /// The full runtime report (cooperative and compiled runs; `None` for
-    /// threaded runs, which have no scheduler). `Arc`-wrapped so cloning an
-    /// `AppRun` stays cheap.
+    /// The full runtime report; every engine produces one. `Arc`-wrapped so
+    /// cloning an `AppRun` stays cheap.
     pub report: Option<Arc<RunReport>>,
 }
 

@@ -11,7 +11,7 @@
 //!   vector iteration.
 
 use crate::apps::{checksum_f32, AppRun, EvalApp, Launch};
-use crate::support::{measure, run_simple_launched};
+use crate::support::{measure, run_graph};
 use aie_intrinsics::counter::metered;
 use aie_intrinsics::{AccF32, Vector};
 use aie_sim::{KernelCostProfile, PortTraffic, WorkloadSpec};
@@ -196,8 +196,7 @@ impl EvalApp for BilinearApp {
         let expect = reference(&input);
         let graph = self.graph();
         let lib = self.library();
-        let (got, run): (Vec<f32>, AppRun) =
-            run_simple_launched(&graph, &lib, spec, input, launch)?;
+        let (got, run): (Vec<f32>, AppRun) = run_graph(&graph, &lib, spec, input, launch)?;
         if got != expect {
             let first = got.iter().zip(&expect).position(|(a, b)| a != b);
             return Err(format!(

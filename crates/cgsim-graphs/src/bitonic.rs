@@ -10,7 +10,7 @@
 //!   stages ([`aie_intrinsics::ops::bitonic_sort16`]).
 
 use crate::apps::{checksum_f32, AppRun, EvalApp, Launch};
-use crate::support::{measure, run_simple_launched};
+use crate::support::{measure, run_graph};
 use aie_intrinsics::counter::metered;
 use aie_intrinsics::ops::bitonic_sort16;
 use aie_intrinsics::Vector;
@@ -137,7 +137,7 @@ impl EvalApp for BitonicApp {
         let expect = reference(&input);
         let graph = self.graph();
         let lib = self.library();
-        let (got, run) = run_simple_launched::<f32, f32>(&graph, &lib, spec, input, launch)?;
+        let (got, run) = run_graph::<f32>(&graph, &lib, spec, input, launch)?;
         if got != expect {
             return Err(format!(
                 "bitonic output mismatch: {} vs {} elements, first diff at {:?}",

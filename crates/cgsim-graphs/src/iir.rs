@@ -12,7 +12,7 @@
 //!   iteration (one full window).
 
 use crate::apps::{checksum_f32, AppRun, EvalApp, Launch};
-use crate::support::{measure, run_simple_launched};
+use crate::support::{measure, run_graph};
 use aie_intrinsics::counter::{metered, record_n};
 use aie_intrinsics::{AccF32, OpKind};
 use aie_sim::{KernelCostProfile, PortTraffic, WorkloadSpec};
@@ -249,8 +249,7 @@ impl EvalApp for IirApp {
         let expect = reference(&input);
         let graph = self.graph();
         let lib = self.library();
-        let (got, run): (Vec<f32>, AppRun) =
-            run_simple_launched(&graph, &lib, spec, input, launch)?;
+        let (got, run): (Vec<f32>, AppRun) = run_graph(&graph, &lib, spec, input, launch)?;
         if got != expect {
             let first = got.iter().zip(&expect).position(|(a, b)| a != b);
             return Err(format!(

@@ -25,4 +25,4 @@ pub mod iir;
 pub mod support;
 
 pub use apps::{all_apps, AppRun, EvalApp, Launch};
-pub use cgsim_runtime::{Backend, ChannelMode, Profiling, RunSpec, Schedule};
+pub use cgsim_runtime::{Backend, Profiling, RunSpec, Schedule};

@@ -1,12 +1,12 @@
-//! Shared plumbing for the evaluation applications: generic run helpers
-//! over both functional runtimes, and profile bookkeeping.
+//! Shared plumbing for the evaluation applications: one run driver over
+//! every engine, and profile bookkeeping.
 
 use crate::apps::{AppRun, Launch};
 use aie_sim::KernelCostProfile;
 use cgsim_compiled::{CompileError, CompiledContext};
-use cgsim_core::{FlatGraph, StreamData};
-use cgsim_runtime::{Backend, Interrupt, KernelLibrary, RunSpec, RuntimeContext};
-use cgsim_threads::{ThreadedConfig, ThreadedContext};
+use cgsim_core::{FlatGraph, GraphError, StreamData};
+use cgsim_runtime::{Backend, Interrupt, KernelLibrary, RunSpec, RuntimeContext, Session};
+use cgsim_threads::ThreadedContext;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -26,315 +26,115 @@ pub mod measure {
     }
 }
 
-/// Run a one-input/one-output graph under `spec`; returns outputs and raw
-/// metrics (checksum/out_elems left for the caller to fill).
-pub fn run_simple<TIn: StreamData, TOut: StreamData>(
-    graph: &FlatGraph,
-    lib: &KernelLibrary,
-    spec: &RunSpec,
-    input: Vec<TIn>,
-) -> Result<(Vec<TOut>, AppRun), String> {
-    run_simple_launched(graph, lib, spec, input, Launch::default())
+/// What an application feeds into its graph: a data stream on input 0
+/// (`Vec<T>`), optionally followed by a Runtime Parameter on input 1
+/// (`(Vec<T>, P)`).
+pub trait Inputs {
+    /// Attach these inputs to `session`.
+    fn feed_into<S: Session>(self, session: &mut S) -> Result<(), GraphError>;
 }
 
-/// [`run_simple`] with per-launch resources (cached plan, tracer).
-pub fn run_simple_launched<TIn: StreamData, TOut: StreamData>(
-    graph: &FlatGraph,
-    lib: &KernelLibrary,
-    spec: &RunSpec,
-    input: Vec<TIn>,
-    launch: Launch,
-) -> Result<(Vec<TOut>, AppRun), String> {
-    run_with_inputs::<TOut>(
-        graph,
-        lib,
-        spec,
-        vec![Box::new(move |f| f.feed(0, input))],
-        launch,
-    )
-}
-
-/// Run a graph whose input 0 is a data stream and input 1 a runtime
-/// parameter.
-pub fn run_with_param<TIn: StreamData, P: StreamData, TOut: StreamData>(
-    graph: &FlatGraph,
-    lib: &KernelLibrary,
-    spec: &RunSpec,
-    input: Vec<TIn>,
-    param: P,
-) -> Result<(Vec<TOut>, AppRun), String> {
-    run_with_param_launched(graph, lib, spec, input, param, Launch::default())
-}
-
-/// [`run_with_param`] with per-launch resources (cached plan, tracer).
-pub fn run_with_param_launched<TIn: StreamData, P: StreamData, TOut: StreamData>(
-    graph: &FlatGraph,
-    lib: &KernelLibrary,
-    spec: &RunSpec,
-    input: Vec<TIn>,
-    param: P,
-    launch: Launch,
-) -> Result<(Vec<TOut>, AppRun), String> {
-    run_with_inputs::<TOut>(
-        graph,
-        lib,
-        spec,
-        vec![
-            Box::new(move |f| f.feed(0, input)),
-            Box::new(move |f| f.feed_param(1, param)),
-        ],
-        launch,
-    )
-}
-
-/// A feed action applied to either runtime through the [`Feeder`] facade.
-type FeedFn = Box<dyn FnOnce(&mut dyn Feeder) -> Result<(), cgsim_core::GraphError>>;
-
-/// Facade over the two context types' feed methods.
-pub trait Feeder {
-    /// Feed a boxed, type-erased vector into positional input `index`.
-    fn feed_any(
-        &mut self,
-        index: usize,
-        data: Box<dyn std::any::Any>,
-    ) -> Result<(), cgsim_core::GraphError>;
-}
-
-trait FeederExt {
-    fn feed<T: StreamData>(
-        &mut self,
-        index: usize,
-        data: Vec<T>,
-    ) -> Result<(), cgsim_core::GraphError>;
-    fn feed_param<T: StreamData>(
-        &mut self,
-        index: usize,
-        value: T,
-    ) -> Result<(), cgsim_core::GraphError>;
-}
-
-impl FeederExt for dyn Feeder + '_ {
-    fn feed<T: StreamData>(
-        &mut self,
-        index: usize,
-        data: Vec<T>,
-    ) -> Result<(), cgsim_core::GraphError> {
-        self.feed_any(index, Box::new(data))
-    }
-    fn feed_param<T: StreamData>(
-        &mut self,
-        index: usize,
-        value: T,
-    ) -> Result<(), cgsim_core::GraphError> {
-        self.feed_any(index, Box::new(vec![value]))
+impl<T: StreamData> Inputs for Vec<T> {
+    fn feed_into<S: Session>(self, session: &mut S) -> Result<(), GraphError> {
+        session.feed(0, self)
     }
 }
 
-struct CoopFeeder<'a, 'g>(&'a mut RuntimeContext<'g>);
-struct ThreadFeeder<'a, 'g>(&'a mut ThreadedContext<'g>);
-struct CompiledFeeder<'a, 'g>(&'a mut CompiledContext<'g>);
-
-macro_rules! feed_typed {
-    ($ctx:expr, $index:expr, $data:expr, [$($t:ty),*]) => {{
-        let mut data = $data;
-        $(
-            data = match data.downcast::<Vec<$t>>() {
-                Ok(v) => return $ctx.feed($index, *v),
-                Err(d) => d,
-            };
-        )*
-        let _ = data;
-        Err(cgsim_core::GraphError::IoArityMismatch {
-            what: "inputs",
-            expected: 0,
-            actual: $index,
-        })
-    }};
+impl<T: StreamData, P: StreamData> Inputs for (Vec<T>, P) {
+    fn feed_into<S: Session>(self, session: &mut S) -> Result<(), GraphError> {
+        session.feed(0, self.0)?;
+        session.feed_param(1, self.1)
+    }
 }
 
-/// Stream element types the generic feeder supports. Applications using a
-/// custom struct stream register it here.
-macro_rules! feeder_impl {
-    ($name:ident) => {
-        impl Feeder for $name<'_, '_> {
-            fn feed_any(
-                &mut self,
-                index: usize,
-                data: Box<dyn std::any::Any>,
-            ) -> Result<(), cgsim_core::GraphError> {
-                feed_typed!(
-                    self.0,
-                    index,
-                    data,
-                    [
-                        f32,
-                        f64,
-                        i16,
-                        i32,
-                        u32,
-                        i64,
-                        crate::bilinear::PixelQuad,
-                        crate::farrow::BranchSet
-                    ]
-                )
-            }
-        }
-    };
-}
-
-feeder_impl!(CoopFeeder);
-feeder_impl!(ThreadFeeder);
-feeder_impl!(CompiledFeeder);
-
-fn run_with_inputs<TOut: StreamData>(
+/// Run `graph` under `spec` on the engine the spec targets, with
+/// per-launch resources (cached plan, tracer); returns output 0 and the
+/// run metrics (`checksum`/`out_elems` left for the caller to fill).
+///
+/// A `Backend::Compiled` run instantiates the launch's cached plan when it
+/// has one (fault plans disqualify a graph from static scheduling, so the
+/// plan is only honoured for fault-free specs) and compiles otherwise.
+/// Graphs outside the statically schedulable class (merges, rate
+/// imbalance, cycles, fault plans) fall back to the cooperative engine.
+pub fn run_graph<TOut: StreamData>(
     graph: &FlatGraph,
     lib: &KernelLibrary,
     spec: &RunSpec,
-    feeds: Vec<FeedFn>,
-    mut launch: Launch,
+    inputs: impl Inputs,
+    launch: Launch,
 ) -> Result<(Vec<TOut>, AppRun), String> {
+    let Launch { plan, tracer } = launch;
     match spec.target() {
         Backend::Cooperative => {
-            let mut ctx =
-                RuntimeContext::from_spec_with_tracer(graph, lib, spec, launch.tracer.clone())
-                    .map_err(|e| e.to_string())?;
-            for f in feeds {
-                f(&mut CoopFeeder(&mut ctx)).map_err(|e| e.to_string())?;
-            }
-            let out = ctx.collect::<TOut>(0).map_err(|e| e.to_string())?;
-            let start = Instant::now();
-            let report = ctx.run().map_err(|e| e.to_string())?;
-            let wall_time = start.elapsed();
-            match report.interrupted() {
-                Some(Interrupt::Deadline) => {
-                    return Err(format!(
-                        "deadline exceeded after {:?} ({} polls)",
-                        spec.deadline_budget().unwrap_or_default(),
-                        report.exec.polls
-                    ))
-                }
-                Some(Interrupt::Cancelled) => return Err("run cancelled".into()),
-                None => {}
-            }
-            if !report.drained() {
-                return Err(format!("graph stalled: {:?}", report.stalled));
-            }
-            let kernel_fraction = Some(report.exec.kernel_fraction());
-            Ok((
-                out.take(),
-                AppRun {
-                    wall_time,
-                    out_elems: 0,
-                    checksum: 0,
-                    kernel_fraction,
-                    report: Some(Arc::new(report)),
-                },
-            ))
-        }
-        Backend::Compiled => {
-            // Instantiate the cached plan when the launch carries one
-            // (fault plans disqualify a graph from static scheduling, so a
-            // cached plan is only honoured for fault-free specs); otherwise
-            // compile the static schedule here. Graphs outside the
-            // statically schedulable class (merges, rate imbalance, cycles,
-            // fault plans) fall back gracefully to the cooperative engine.
-            let cached = match launch.plan.take() {
-                Some(plan) if spec.config().faults.is_none() => {
-                    let mut ctx = CompiledContext::with_plan(graph, lib, plan, *spec.config());
-                    ctx.set_tracer(launch.tracer.clone());
-                    // `with_plan` does not arm the deadline; mirror
-                    // `from_spec` so the budget still applies.
-                    if let Some(budget) = spec.deadline_budget() {
-                        ctx.set_deadline(Instant::now() + budget);
-                    }
-                    Some(ctx)
-                }
-                _ => None,
-            };
-            let mut ctx = match cached {
-                Some(ctx) => ctx,
-                None => match CompiledContext::from_spec_with_tracer(
-                    graph,
-                    lib,
-                    spec,
-                    launch.tracer.clone(),
-                ) {
-                    Ok(ctx) => ctx,
-                    Err(CompileError::NotStaticallySchedulable { .. }) => {
-                        let coop = spec.clone().backend(Backend::Cooperative);
-                        return run_with_inputs::<TOut>(graph, lib, &coop, feeds, launch);
-                    }
-                    Err(e) => return Err(e.to_string()),
-                },
-            };
-            for f in feeds {
-                f(&mut CompiledFeeder(&mut ctx)).map_err(|e| e.to_string())?;
-            }
-            let out = ctx.collect::<TOut>(0).map_err(|e| e.to_string())?;
-            let start = Instant::now();
-            let report = ctx.run().map_err(|e| e.to_string())?;
-            let wall_time = start.elapsed();
-            match report.interrupted() {
-                Some(Interrupt::Deadline) => {
-                    return Err(format!(
-                        "deadline exceeded after {:?} ({} polls)",
-                        spec.deadline_budget().unwrap_or_default(),
-                        report.exec.polls
-                    ))
-                }
-                Some(Interrupt::Cancelled) => return Err("run cancelled".into()),
-                None => {}
-            }
-            if !report.drained() {
-                return Err(format!("graph stalled: {:?}", report.stalled));
-            }
-            let kernel_fraction = Some(report.exec.kernel_fraction());
-            Ok((
-                out.take(),
-                AppRun {
-                    wall_time,
-                    out_elems: 0,
-                    checksum: 0,
-                    kernel_fraction,
-                    report: Some(Arc::new(report)),
-                },
-            ))
+            let ctx = RuntimeContext::from_spec_with_tracer(graph, lib, spec, tracer);
+            drive(ctx.map_err(|e| e.to_string())?, spec, inputs)
         }
         Backend::Threaded => {
-            // Only `default_depth` carries over: schedule, faults, profiling
-            // and deadline are cooperative-engine concepts (see
-            // `Backend::Threaded` docs).
-            let config = ThreadedConfig {
-                default_depth: spec.config().default_depth,
+            let ctx = ThreadedContext::new(graph, lib, *spec.config());
+            drive(ctx.map_err(|e| e.to_string())?, spec, inputs)
+        }
+        Backend::Compiled => {
+            let ctx = match plan {
+                Some(plan) if spec.config().faults.is_none() => {
+                    Ok(CompiledContext::with_plan(graph, lib, plan, spec))
+                }
+                _ => CompiledContext::from_spec(graph, lib, spec),
             };
-            let mut ctx = ThreadedContext::new(graph, lib, config).map_err(|e| e.to_string())?;
-            for f in feeds {
-                f(&mut ThreadFeeder(&mut ctx)).map_err(|e| e.to_string())?;
+            match ctx {
+                Ok(mut ctx) => {
+                    ctx.set_tracer(tracer);
+                    drive(ctx, spec, inputs)
+                }
+                Err(CompileError::NotStaticallySchedulable { .. }) => {
+                    let coop = spec.clone().backend(Backend::Cooperative);
+                    run_graph(
+                        graph,
+                        lib,
+                        &coop,
+                        inputs,
+                        Launch::default().with_tracer(tracer),
+                    )
+                }
+                Err(e) => Err(e.to_string()),
             }
-            let out = ctx.collect::<TOut>(0).map_err(|e| e.to_string())?;
-            let start = Instant::now();
-            ctx.run().map_err(|e| e.to_string())?;
-            let wall_time = start.elapsed();
-            Ok((
-                out.take(),
-                AppRun {
-                    wall_time,
-                    out_elems: 0,
-                    checksum: 0,
-                    kernel_fraction: None,
-                    report: None,
-                },
-            ))
         }
     }
 }
 
-/// Convenience wrapper used by f32-stream apps.
-pub fn run_one_in_one_out_f32(
-    graph: &FlatGraph,
-    lib: &KernelLibrary,
+/// Feed, collect output 0, run, and turn an interrupted or stalled run into
+/// an error — the same for every engine.
+fn drive<S: Session, TOut: StreamData>(
+    mut ctx: S,
     spec: &RunSpec,
-    input: Vec<f32>,
-) -> Result<(Vec<f32>, AppRun), String> {
-    run_simple::<f32, f32>(graph, lib, spec, input)
+    inputs: impl Inputs,
+) -> Result<(Vec<TOut>, AppRun), String> {
+    inputs.feed_into(&mut ctx).map_err(|e| e.to_string())?;
+    let out = ctx.collect::<TOut>(0).map_err(|e| e.to_string())?;
+    let start = Instant::now();
+    let report = ctx.run().map_err(|e| e.to_string())?;
+    let wall_time = start.elapsed();
+    match report.interrupted() {
+        Some(Interrupt::Deadline) => {
+            return Err(format!(
+                "deadline exceeded after {:?} ({} polls)",
+                spec.deadline_budget().unwrap_or_default(),
+                report.exec.polls
+            ))
+        }
+        Some(Interrupt::Cancelled) => return Err("run cancelled".into()),
+        None => {}
+    }
+    if !report.drained() {
+        return Err(format!("graph stalled: {:?}", report.stalled));
+    }
+    Ok((
+        out.take(),
+        AppRun {
+            wall_time,
+            out_elems: 0,
+            checksum: 0,
+            kernel_fraction: Some(report.exec.kernel_fraction()),
+            report: Some(Arc::new(report)),
+        },
+    ))
 }

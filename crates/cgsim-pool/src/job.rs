@@ -279,8 +279,8 @@ impl JobCtx {
     }
 
     /// Hand the pool a run's drained [`TraceSnapshot`] (usually
-    /// `report.trace` from a [`RuntimeContext::run`]) so it appears in the
-    /// pool-level Chrome trace. `RuntimeContext::run` drains the tracer's
+    /// `report.trace` from a [`Session::run`](cgsim_runtime::Session::run)) so it appears in the
+    /// pool-level Chrome trace. A run drains the tracer's
     /// ring into its report, so without this call the pool only sees
     /// whatever was emitted *after* the run.
     pub fn keep_trace(&self, snapshot: TraceSnapshot) {
@@ -298,11 +298,9 @@ impl JobCtx {
         graph: &'g FlatGraph,
         library: &'g KernelLibrary,
     ) -> Result<RuntimeContext<'g>, GraphError> {
+        let spec = self.effective_spec();
         let mut ctx =
-            RuntimeContext::from_spec_with_tracer(graph, library, &self.spec, self.tracer.clone())?;
-        if let Some(at) = self.deadline {
-            ctx.set_deadline(at);
-        }
+            RuntimeContext::from_spec_with_tracer(graph, library, &spec, self.tracer.clone())?;
         ctx.set_cancel(self.cancel.clone());
         if let Some(probe) = &self.probe {
             ctx.set_probe(Arc::clone(probe));
@@ -314,20 +312,17 @@ impl JobCtx {
     /// this job's spec — the sweep pattern: compile the graph *once* with
     /// [`cgsim_compiled::compile`], then submit many jobs that each
     /// instantiate the shared plan against their own parameters. The job's
-    /// tracer, absolute deadline and cancellation token are wired in; the
-    /// executor probe does not apply (the compiled engine has no embedded
-    /// scheduler to sample).
+    /// tracer, remaining deadline budget and cancellation token are wired
+    /// in; the executor probe does not apply (the compiled engine has no
+    /// embedded scheduler to sample).
     pub fn instantiate_compiled<'g>(
         &self,
         graph: &'g FlatGraph,
         library: &'g KernelLibrary,
         plan: CompiledPlan,
     ) -> CompiledContext<'g> {
-        let mut ctx = CompiledContext::with_plan(graph, library, plan, *self.spec.config());
+        let mut ctx = CompiledContext::with_plan(graph, library, plan, &self.effective_spec());
         ctx.set_tracer(self.tracer.clone());
-        if let Some(at) = self.deadline {
-            ctx.set_deadline(at);
-        }
         ctx.set_cancel(self.cancel.clone());
         ctx
     }

@@ -3,7 +3,7 @@
 
 use cgsim_pool::{Admission, Job, JobOutcome, JobOutput, Pool, PoolConfig, SubmitError};
 use cgsim_runtime::cgsim_core::{FlatGraph, GraphBuilder};
-use cgsim_runtime::{compute_kernel, KernelLibrary, RunSpec};
+use cgsim_runtime::{compute_kernel, KernelLibrary, RunSpec, Session};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;

@@ -5,7 +5,7 @@
 
 use cgsim_pool::{Job, JobOutcome, ObserverConfig, Pool, PoolConfig};
 use cgsim_runtime::cgsim_core::{FlatGraph, GraphBuilder, PortSettings};
-use cgsim_runtime::{compute_kernel, KernelLibrary, RunSpec, VerifyPolicy};
+use cgsim_runtime::{compute_kernel, KernelLibrary, RunSpec, Session, VerifyPolicy};
 use std::future::Future;
 use std::pin::Pin;
 use std::task::{Context, Poll};

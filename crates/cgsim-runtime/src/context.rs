@@ -4,19 +4,20 @@
 //! flattened graph produced at construction time, recreates all I/O channels
 //! from the serialized descriptors, instantiates every kernel through the
 //! registry, and connects global inputs/outputs to user-supplied data
-//! sources and sinks (specialized coroutines, §3.7). [`RuntimeContext::run`]
+//! sources and sinks (specialized coroutines, §3.7). Its [`Session::run`]
 //! then drives the embedded cooperative scheduler to quiescence and returns
 //! a [`RunReport`].
 
-use crate::channel::{Channel, ChannelMode, ChannelStats};
+use crate::channel::{ChannelMode, ChannelStats};
 use crate::executor::{
     BoundsCheck, BoundsViolation, CancelToken, ExecStats, Executor, FaultPlan, Interrupt,
     Profiling, Schedule, SchedulePolicy,
 };
-use crate::library::{AnyChannel, KernelLibrary, PortBinder};
+use crate::library::{KernelLibrary, PortBinder};
 use crate::probe::{ExecProbe, Introspector};
+use crate::session::{declared_capacities, sink, source, IoWiring, Session};
 use crate::spec::RunSpec;
-use cgsim_core::{ConnectorId, FlatGraph, GraphError, PortDir, StreamData};
+use cgsim_core::{FlatGraph, GraphError, PortDir, StreamData};
 use cgsim_trace::{TraceSnapshot, Tracer};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -50,12 +51,6 @@ pub struct RuntimeConfig {
     /// Ahead-of-run `cgsim-lint` gate on Error diagnostics (deny by
     /// default; see [`VerifyPolicy`]).
     pub verify: VerifyPolicy,
-    /// Channel storage policy. The cooperative context is single-threaded
-    /// by construction (`!Send`), so the uncontended
-    /// [`ChannelMode::SingleThread`] fast path is the default;
-    /// [`ChannelMode::Shared`] restores the mutex-guarded pre-optimisation
-    /// behaviour (and is what `cgsim-threads` uses).
-    pub channels: ChannelMode,
     /// Per-poll timing mode for the embedded scheduler; see [`Profiling`].
     /// Defaults to `Profiling::Sampled(64)`.
     pub profiling: Profiling,
@@ -69,7 +64,6 @@ impl Default for RuntimeConfig {
             schedule: Schedule::Fifo,
             faults: None,
             verify: VerifyPolicy::Deny,
-            channels: ChannelMode::SingleThread,
             profiling: Profiling::default(),
         }
     }
@@ -92,7 +86,6 @@ mod config_wire {
                 ("schedule".to_string(), self.schedule.to_value()),
                 ("faults".to_string(), self.faults.to_value()),
                 ("verify".to_string(), self.verify.to_value()),
-                ("channels".to_string(), self.channels.to_value()),
                 ("profiling".to_string(), self.profiling.to_value()),
             ])
         }
@@ -118,9 +111,6 @@ mod config_wire {
             }
             if let Some(v) = get_field(obj, "verify") {
                 cfg.verify = Deserialize::from_value(v)?;
-            }
-            if let Some(v) = get_field(obj, "channels") {
-                cfg.channels = Deserialize::from_value(v)?;
             }
             if let Some(v) = get_field(obj, "profiling") {
                 cfg.profiling = Deserialize::from_value(v)?;
@@ -167,12 +157,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Set the channel storage policy.
-    pub fn with_channels(mut self, mode: ChannelMode) -> Self {
-        self.channels = mode;
-        self
-    }
-
     /// Set the per-poll timing mode.
     pub fn with_profiling(mut self, profiling: Profiling) -> Self {
         self.profiling = profiling;
@@ -181,14 +165,13 @@ impl RuntimeConfig {
 }
 
 /// Handle to the data collected by a sink coroutine; resolves after
-/// [`RuntimeContext::run`] returns.
+/// [`Session::run`] returns.
 pub struct SinkHandle<T> {
     data: Arc<Mutex<Vec<T>>>,
 }
 
 impl<T> SinkHandle<T> {
-    /// An empty sink handle; used by alternative runtimes (e.g. the
-    /// thread-per-kernel simulator) that drive their own sink coroutines.
+    /// An empty sink handle, filled by a [`sink`] coroutine.
     pub fn new() -> Self {
         SinkHandle {
             data: Arc::new(Mutex::new(Vec::new())),
@@ -282,15 +265,11 @@ impl RunReport {
     }
 }
 
-/// A single execution instance of a compute graph (§3.6).
+/// A single execution instance of a compute graph (§3.6): the cooperative
+/// engine's [`Session`].
 pub struct RuntimeContext<'g> {
-    graph: &'g FlatGraph,
-    library: &'g KernelLibrary,
-    channels: Vec<AnyChannel>,
+    io: IoWiring<'g>,
     executor: Executor,
-    fed_inputs: Vec<bool>,
-    bound_outputs: Vec<bool>,
-    channel_mode: ChannelMode,
     tracer: Tracer,
     probe: Option<Arc<ExecProbe>>,
     /// Source/sink coroutine I/O for the introspector: `(task id, connector
@@ -299,16 +278,6 @@ pub struct RuntimeContext<'g> {
     /// Per-connector static occupancy bounds awaiting arming in `run`
     /// (channels may still be placeholders until every feed/collect ran).
     bounds: Option<Vec<u64>>,
-}
-
-/// Display name for connector `ci`: the graph-builder name when one was
-/// given (`g.input::<T>("a")`), else a positional `c{index}` id.
-fn connector_name(graph: &FlatGraph, ci: usize) -> String {
-    graph.connectors[ci]
-        .attrs
-        .get_str("name")
-        .map(str::to_owned)
-        .unwrap_or_else(|| format!("c{ci}"))
 }
 
 impl<'g> RuntimeContext<'g> {
@@ -364,7 +333,7 @@ impl<'g> RuntimeContext<'g> {
     }
 
     /// Arm a live-introspection probe (see [`ExecProbe`]): during
-    /// [`RuntimeContext::run`] the scheduler publishes its progress counter
+    /// [`Session::run`] the scheduler publishes its progress counter
     /// into `probe` and services debug-snapshot requests, reporting channel
     /// occupancies and blocked-kernel waits-for edges under the graph's
     /// connector names. Without a probe the run loop is unchanged.
@@ -384,7 +353,7 @@ impl<'g> RuntimeContext<'g> {
     /// Arm opt-in bounds checking: `bounds[ci]` is the static worst-case
     /// occupancy bound (in tokens) for connector `ci`, as computed by
     /// `cgsim-lint`'s `CG060` analysis (`occupancy_bounds` /
-    /// `LintReport::bounds`). During [`RuntimeContext::run`] the
+    /// `LintReport::bounds`). During [`Session::run`] the
     /// scheduler compares every instrumented channel's observed high-water
     /// occupancy against its bound at the existing interrupt checkpoint
     /// (every 64 polls) and once at quiescence; exceedances land in
@@ -429,32 +398,15 @@ impl<'g> RuntimeContext<'g> {
             }
         }
 
-        // Recreate all graph I/O channels from the serialized descriptors.
-        // The element type is only known to the kernel implementations, so
-        // ask any kernel endpoint of each connector to construct it (the
-        // paper's "template functions reconstruct objects of the appropriate
-        // type when invoked").
-        let mut channels: Vec<Option<AnyChannel>> = vec![None; graph.connectors.len()];
-        for (ci, conn) in graph.connectors.iter().enumerate() {
-            let capacity = if conn.settings.depth != 0 {
-                conn.settings.depth as usize
-            } else {
-                config.default_depth
-            };
-            let endpoint = graph.kernels.iter().enumerate().find_map(|(ki, k)| {
-                k.ports
-                    .iter()
-                    .position(|p| p.connector.index() == ci)
-                    .map(|pi| (ki, pi))
-            });
-            if let Some((ki, pi)) = endpoint {
-                let entry = library.get(&graph.kernels[ki].kind)?;
-                channels[ci] = Some(entry.make_channel_mode(pi, capacity, config.channels)?);
-            }
-            // Connectors with no kernel endpoint (pure global passthrough)
-            // are created lazily by the typed feed/collect calls.
-        }
-
+        // The executor is single-threaded by construction (`!Send`), so
+        // every channel takes the uncontended single-thread fast path.
+        let io = IoWiring::new(
+            graph,
+            library,
+            declared_capacities(graph, config.default_depth),
+            ChannelMode::SingleThread,
+            tracer.clone(),
+        )?;
         let mut executor = Executor::new()
             .with_schedule(config.schedule)
             .with_profiling(config.profiling)
@@ -465,228 +417,80 @@ impl<'g> RuntimeContext<'g> {
         if let Some(plan) = config.faults {
             executor = executor.with_faults(plan);
         }
-        let mut ctx = RuntimeContext {
-            graph,
-            library,
-            channels: Vec::new(),
-            executor,
-            fed_inputs: vec![false; graph.inputs.len()],
-            bound_outputs: vec![false; graph.outputs.len()],
-            channel_mode: config.channels,
-            tracer,
-            probe: None,
-            io_tasks: Vec::new(),
-            bounds: None,
-        };
-
-        // Passthrough connectors get a placeholder that `feed`/`collect`
-        // replace with a typed channel; reject them here only when used by
-        // kernels (which cannot happen by construction).
-        for (ci, ch) in channels.into_iter().enumerate() {
-            match ch {
-                Some(ch) => {
-                    // Wire this connector's counters and events into the
-                    // tracer under its graph name (free when untraced).
-                    if let Some(admin) = ch.admin() {
-                        admin.instrument(&ctx.tracer, &connector_name(graph, ci));
-                    }
-                    ctx.channels.push(ch);
-                }
-                None => {
-                    // No kernel endpoint: validate() guarantees this
-                    // connector is both a global input and a global output.
-                    // Default to a placeholder; feed() replaces it with the
-                    // correctly typed channel.
-                    ctx.channels.push(AnyChannel::placeholder());
-                }
-            }
-        }
 
         // Instantiate all kernels and register their coroutines (suspended)
         // with the scheduler (§3.8 step 1).
         for k in &graph.kernels {
-            let entry = ctx.library.get(&k.kind)?;
-            let kernel_channels: Vec<AnyChannel> = k
-                .ports
-                .iter()
-                .map(|p| ctx.channels[p.connector.index()].clone())
-                .collect();
+            let kernel_channels = io.kernel_channels(k);
             let mut binder = PortBinder::new(&k.instance, &kernel_channels);
-            let fut = entry.spawn(&mut binder)?;
-            ctx.executor.spawn(k.instance.clone(), fut);
+            let fut = library.get(&k.kind)?.spawn(&mut binder)?;
+            executor.spawn(k.instance.clone(), fut);
         }
 
-        Ok(ctx)
-    }
-
-    fn typed_channel<T: StreamData>(
-        &mut self,
-        connector: ConnectorId,
-    ) -> Result<Arc<Channel<T>>, GraphError> {
-        let ci = connector.index();
-        let slot = &mut self.channels[ci];
-        if let Ok(chan) = slot.clone().downcast::<Channel<T>>() {
-            return Ok(chan);
-        }
-        // Placeholder (global passthrough connector): create typed channel
-        // if the slot is still the unit placeholder.
-        if slot.clone().downcast::<()>().is_ok() {
-            let chan = Channel::<T>::with_mode(64, self.channel_mode);
-            chan.instrument(&self.tracer, &connector_name(self.graph, ci));
-            *slot = AnyChannel::typed(chan.clone());
-            return Ok(chan);
-        }
-        Err(GraphError::IoTypeMismatch {
-            connector,
-            expected: Box::new(self.graph.connectors[ci].dtype.clone()),
+        Ok(RuntimeContext {
+            io,
+            executor,
+            tracer,
+            probe: None,
+            io_tasks: Vec::new(),
+            bounds: None,
         })
     }
+}
 
-    /// Attach a data-source coroutine feeding `data` into positional global
-    /// input `index` (§3.7).
-    pub fn feed<T: StreamData>(
+impl Session for RuntimeContext<'_> {
+    fn feed<T: StreamData>(
         &mut self,
         index: usize,
-        data: impl IntoIterator<Item = T> + 'static,
+        data: impl IntoIterator<Item = T> + Send + 'static,
     ) -> Result<(), GraphError> {
-        let Some(&connector) = self.graph.inputs.get(index) else {
-            return Err(GraphError::IoArityMismatch {
-                what: "inputs",
-                expected: self.graph.inputs.len(),
-                actual: index + 1,
-            });
-        };
-        let chan = self.typed_channel::<T>(connector)?;
-        let mut tx = chan.add_producer();
-        self.fed_inputs[index] = true;
-        let id = self.executor.spawn(
-            format!("source_{index}"),
-            Box::pin(async move {
-                for v in data {
-                    tx.send(v).await;
-                }
-            }),
-        );
-        self.io_tasks.push((id, connector.index(), true));
+        let tx = self.io.producer::<T>(index)?;
+        let id = self
+            .executor
+            .spawn(format!("source_{index}"), Box::pin(source(tx, data)));
+        let ci = self.io.graph().inputs[index].index();
+        self.io_tasks.push((id, ci, true));
         Ok(())
     }
 
-    /// Attach a single-value source — the paper's Runtime Parameter source.
-    pub fn feed_param<T: StreamData>(&mut self, index: usize, value: T) -> Result<(), GraphError> {
-        self.feed(index, std::iter::once(value))
-    }
-
-    /// Attach a Runtime Parameter *sink* (§3.7: "the framework also
-    /// supports passing scalar values and variables through Runtime
-    /// Parameter sources and sinks"): collects the scalar(s) a kernel
-    /// writes to an RTP output. The handle holds every update, the last
-    /// entry being the parameter's final value.
-    pub fn collect_param<T: StreamData>(
-        &mut self,
-        index: usize,
-    ) -> Result<SinkHandle<T>, GraphError> {
-        self.collect(index)
-    }
-
-    /// Attach a data-sink coroutine collecting positional global output
-    /// `index` (§3.7). Results become available after [`Self::run`].
-    pub fn collect<T: StreamData>(&mut self, index: usize) -> Result<SinkHandle<T>, GraphError> {
-        let Some(&connector) = self.graph.outputs.get(index) else {
-            return Err(GraphError::IoArityMismatch {
-                what: "outputs",
-                expected: self.graph.outputs.len(),
-                actual: index + 1,
-            });
-        };
-        let chan = self.typed_channel::<T>(connector)?;
-        let mut rx = chan.add_consumer();
-        self.bound_outputs[index] = true;
-        let data = Arc::new(Mutex::new(Vec::new()));
-        let sink_data = Arc::clone(&data);
-        let id = self.executor.spawn(
-            format!("sink_{index}"),
-            Box::pin(async move {
-                while let Some(v) = rx.recv().await {
-                    sink_data.lock().unwrap().push(v);
-                }
-            }),
-        );
-        self.io_tasks.push((id, connector.index(), false));
-        Ok(SinkHandle { data })
-    }
-
-    /// Like [`RuntimeContext::collect`], but the sink closes its consumer
-    /// end after `limit` elements instead of waiting for end-of-stream —
-    /// the "early sink closure" fault mode. Upstream producers observe the
-    /// closure (writes to a channel with no remaining open consumers are
-    /// discarded), so the graph must still drain cleanly.
-    pub fn collect_bounded<T: StreamData>(
+    fn collect_bounded<T: StreamData>(
         &mut self,
         index: usize,
         limit: usize,
     ) -> Result<SinkHandle<T>, GraphError> {
-        let Some(&connector) = self.graph.outputs.get(index) else {
-            return Err(GraphError::IoArityMismatch {
-                what: "outputs",
-                expected: self.graph.outputs.len(),
-                actual: index + 1,
-            });
-        };
-        let chan = self.typed_channel::<T>(connector)?;
-        let mut rx = chan.add_consumer();
-        self.bound_outputs[index] = true;
-        let data = Arc::new(Mutex::new(Vec::new()));
-        let sink_data = Arc::clone(&data);
+        let rx = self.io.consumer::<T>(index)?;
+        let handle = SinkHandle::new();
         let id = self.executor.spawn(
             format!("sink_{index}"),
-            Box::pin(async move {
-                while sink_data.lock().unwrap().len() < limit {
-                    let Some(v) = rx.recv().await else { return };
-                    sink_data.lock().unwrap().push(v);
-                }
-                // Dropping `rx` here closes the consumer before the stream
-                // ends.
-            }),
+            Box::pin(sink(rx, handle.shared(), limit)),
         );
-        self.io_tasks.push((id, connector.index(), false));
-        Ok(SinkHandle { data })
+        let ci = self.io.graph().outputs[index].index();
+        self.io_tasks.push((id, ci, false));
+        Ok(handle)
     }
 
     /// Start the embedded task scheduler and run the graph to quiescence
-    /// (§3.8). Every global input must have been fed and every global output
-    /// bound, mirroring the paper's positional source/sink arguments.
-    pub fn run(mut self) -> Result<RunReport, GraphError> {
-        if let Some(missing) = self.fed_inputs.iter().position(|f| !f) {
-            return Err(GraphError::IoArityMismatch {
-                what: "inputs",
-                expected: self.graph.inputs.len(),
-                actual: missing,
-            });
-        }
-        if let Some(missing) = self.bound_outputs.iter().position(|f| !f) {
-            return Err(GraphError::IoArityMismatch {
-                what: "outputs",
-                expected: self.graph.outputs.len(),
-                actual: missing,
-            });
-        }
+    /// (§3.8).
+    fn run(mut self) -> Result<RunReport, GraphError> {
+        self.io.check_complete()?;
+        let graph = self.io.graph();
         // Arm the probe last: by now every placeholder channel has been
         // replaced by feed/collect, so the introspector captures the real
         // admin handles and the full source/sink topology.
         if let Some(probe) = self.probe.take() {
             let mut intro = Introspector::new();
-            let mut slots: Vec<Option<usize>> = vec![None; self.channels.len()];
-            for (ci, ch) in self.channels.iter().enumerate() {
+            let mut slots: Vec<Option<usize>> = vec![None; self.io.channels().len()];
+            for (ci, ch) in self.io.channels().iter().enumerate() {
                 if let Some(admin) = ch.admin() {
                     slots[ci] = Some(intro.add_channel(
-                        connector_name(self.graph, ci),
+                        graph.connector_name(ci),
                         admin.capacity(),
                         Arc::clone(admin),
                     ));
                 }
             }
             // Kernel coroutines were spawned in graph order: task id == ki.
-            for (ki, k) in self.graph.kernels.iter().enumerate() {
+            for (ki, k) in graph.kernels.iter().enumerate() {
                 for p in &k.ports {
                     if let Some(idx) = slots[p.connector.index()] {
                         match p.dir {
@@ -713,14 +517,15 @@ impl<'g> RuntimeContext<'g> {
         // feed/collect.
         if let Some(bounds) = self.bounds.take() {
             let checks: Vec<BoundsCheck> = self
-                .channels
+                .io
+                .channels()
                 .iter()
                 .enumerate()
                 .filter_map(|(ci, ch)| {
                     let admin = ch.admin()?;
                     let &bound = bounds.get(ci)?;
                     Some(BoundsCheck {
-                        name: connector_name(self.graph, ci),
+                        name: graph.connector_name(ci),
                         bound,
                         admin: Arc::clone(admin),
                     })
@@ -735,27 +540,12 @@ impl<'g> RuntimeContext<'g> {
             .filter(|t| !t.completed)
             .map(|t| t.label.clone())
             .collect();
-        let elements_moved = self
-            .channels
-            .iter()
-            .filter_map(|c| c.admin())
-            .map(|a| a.total_pushed())
-            .sum();
-        let channels = self
-            .channels
-            .iter()
-            .enumerate()
-            .filter_map(|(ci, c)| {
-                c.admin()
-                    .map(|a| (connector_name(self.graph, ci), a.stats()))
-            })
-            .collect();
         Ok(RunReport {
             exec,
             stalled,
-            elements_moved,
+            elements_moved: self.io.elements_moved(),
             tasks,
-            channels,
+            channels: self.io.channel_stats(),
             trace: self.tracer.snapshot(),
             bounds_violations,
         })
@@ -970,7 +760,7 @@ mod tests {
         });
         let mut ctx = RuntimeContext::new(&graph, &lib, RuntimeConfig::default()).unwrap();
         ctx.feed(0, vec![0.5f32; 37]).unwrap();
-        let param = ctx.collect_param::<u32>(0).unwrap();
+        let param = ctx.collect::<u32>(0).unwrap();
         let report = ctx.run().unwrap();
         assert!(report.drained());
         assert_eq!(param.take(), vec![37]);

@@ -6,10 +6,11 @@
 //! broadcast queues. A [`RuntimeContext`] re-instantiates a flattened graph
 //! ([`cgsim_core::FlatGraph`]) on the runtime heap, attaches user-supplied
 //! data sources and sinks to the graph's global I/O, and runs the embedded
-//! scheduler to quiescence.
+//! scheduler to quiescence. Feeding, collecting and running go through the
+//! [`Session`] trait, which the compiled and threaded engines implement too.
 //!
 //! ```
-//! use cgsim_runtime::{compute_kernel, KernelLibrary, RuntimeConfig, RuntimeContext};
+//! use cgsim_runtime::{compute_kernel, KernelLibrary, RuntimeConfig, RuntimeContext, Session};
 //! use cgsim_core::GraphBuilder;
 //!
 //! compute_kernel! {
@@ -52,6 +53,7 @@ pub mod library;
 pub mod macros;
 pub mod port;
 pub mod probe;
+pub mod session;
 pub mod spec;
 
 // Re-exported so `compute_kernel!` expansions can reach core types through
@@ -69,4 +71,5 @@ pub use executor::{
 pub use library::{AnyChannel, KernelEntry, KernelImpl, KernelLibrary, PortBinder};
 pub use port::{KernelReadPort, KernelWritePort};
 pub use probe::{ChannelOccupancy, DebugSnapshot, ExecProbe, Introspector, WaitKind, WaitsForEdge};
+pub use session::{IoWiring, Session};
 pub use spec::{Backend, RunSpec};

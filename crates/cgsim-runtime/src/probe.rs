@@ -236,7 +236,7 @@ struct ChannelMeta {
 /// into "task X waits on channel C for task Y": per-channel reader/writer
 /// task ids plus the type-erased admin handles for occupancy queries.
 ///
-/// Built by [`crate::RuntimeContext::run`] when a probe is armed; raw
+/// Built by the cooperative [`crate::Session::run`] when a probe is armed; raw
 /// executor users can assemble one by hand via the `add_*` methods.
 #[derive(Default)]
 pub struct Introspector {

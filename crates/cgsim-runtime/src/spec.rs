@@ -22,11 +22,10 @@
 //! ```
 //!
 //! [`RuntimeContext::from_spec`](crate::RuntimeContext::from_spec) launches
-//! a cooperative run directly from a spec; `cgsim-graphs::support` adds the
-//! [`Backend::Threaded`] dispatch; `cgsim-pool` executes whole batches of
-//! specs on a worker pool.
+//! a cooperative run directly from a spec; `cgsim-graphs::support`
+//! dispatches on the backend to any [`Session`](crate::Session);
+//! `cgsim-pool` executes whole batches of specs on a worker pool.
 
-use crate::channel::ChannelMode;
 use crate::context::{RuntimeConfig, VerifyPolicy};
 use crate::executor::{FaultPlan, Profiling, Schedule};
 use cgsim_core::CostEstimate;
@@ -100,12 +99,6 @@ impl RunSpec {
     /// Set the scheduler's ready-list policy.
     pub fn schedule(mut self, schedule: Schedule) -> Self {
         self.config = self.config.with_schedule(schedule);
-        self
-    }
-
-    /// Set the channel storage policy.
-    pub fn channels(mut self, mode: ChannelMode) -> Self {
-        self.config = self.config.with_channels(mode);
         self
     }
 
@@ -252,7 +245,6 @@ mod tests {
         let spec = RunSpec::for_graph("g")
             .backend(Backend::Threaded)
             .schedule(Schedule::Lifo)
-            .channels(ChannelMode::Shared)
             .profiling(Profiling::Off)
             .verify(VerifyPolicy::Off)
             .faults(FaultPlan::new(7, 25))
@@ -263,7 +255,6 @@ mod tests {
         assert_eq!(spec.target(), Backend::Threaded);
         let cfg = spec.config();
         assert_eq!(cfg.schedule, Schedule::Lifo);
-        assert_eq!(cfg.channels, ChannelMode::Shared);
         assert_eq!(cfg.profiling, Profiling::Off);
         assert_eq!(cfg.verify, VerifyPolicy::Off);
         assert_eq!(cfg.faults, Some(FaultPlan::new(7, 25)));
@@ -280,7 +271,6 @@ mod tests {
         let d = RuntimeConfig::default();
         let c = spec.config();
         assert_eq!(c.schedule, d.schedule);
-        assert_eq!(c.channels, d.channels);
         assert_eq!(c.verify, d.verify);
         assert_eq!(c.default_depth, d.default_depth);
     }
@@ -301,7 +291,6 @@ mod tests {
         let spec = RunSpec::for_graph("wire")
             .backend(Backend::Compiled)
             .schedule(Schedule::Seeded(11))
-            .channels(ChannelMode::Shared)
             .profiling(Profiling::Full)
             .verify(VerifyPolicy::Warn)
             .faults(FaultPlan::new(3, 10))
@@ -315,7 +304,6 @@ mod tests {
         assert_eq!(back.deadline_budget(), spec.deadline_budget());
         let (a, b) = (back.config(), spec.config());
         assert_eq!(a.schedule, b.schedule);
-        assert_eq!(a.channels, b.channels);
         assert_eq!(a.profiling, b.profiling);
         assert_eq!(a.verify, b.verify);
         assert_eq!(a.faults, b.faults);

@@ -13,11 +13,12 @@
 //! synchronisation cost vs cooperative single-core execution — is precisely
 //! the effect Table 2 measures.
 //!
-//! The API mirrors [`cgsim_runtime::RuntimeContext`]:
+//! It is one more [`Session`]: the same feed/collect/run calls as the
+//! cooperative engine, the same [`RunReport`].
 //!
 //! ```
-//! use cgsim_runtime::{compute_kernel, KernelLibrary};
-//! use cgsim_threads::{ThreadedConfig, ThreadedContext};
+//! use cgsim_runtime::{compute_kernel, KernelLibrary, RuntimeConfig, Session};
+//! use cgsim_threads::ThreadedContext;
 //! use cgsim_core::GraphBuilder;
 //!
 //! compute_kernel! {
@@ -38,69 +39,60 @@
 //! }).unwrap();
 //! let lib = KernelLibrary::with(|l| { l.register::<double_kernel>(); });
 //!
-//! let mut ctx = ThreadedContext::new(&graph, &lib, ThreadedConfig::default()).unwrap();
+//! let mut ctx = ThreadedContext::new(&graph, &lib, RuntimeConfig::default()).unwrap();
 //! ctx.feed(0, vec![1, 2, 3]).unwrap();
 //! let out = ctx.collect::<i32>(0).unwrap();
 //! let report = ctx.run().unwrap();
-//! assert_eq!(report.threads, 3); // kernel + source + sink
+//! assert_eq!(report.exec.tasks, 3); // kernel + source + sink, one thread each
 //! assert_eq!(out.take(), vec![2, 4, 6]);
 //! ```
 
 #![warn(missing_docs)]
 
-use cgsim_core::{ConnectorId, FlatGraph, GraphError, StreamData};
+use cgsim_core::{FlatGraph, GraphError, StreamData};
+use cgsim_runtime::cgsim_trace::Tracer;
+use cgsim_runtime::session::{declared_capacities, sink, source, IoWiring};
 use cgsim_runtime::{
-    block_on, AnyChannel, Channel, ChannelStats, KernelLibrary, PortBinder, SinkHandle,
+    block_on, ChannelMode, ExecStats, KernelLibrary, PortBinder, RunReport, RuntimeConfig, Session,
+    SinkHandle, TaskProfile,
 };
 use parking_lot::Mutex;
+use std::future::Future;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-/// Tunables for a threaded simulation run.
-#[derive(Clone, Copy, Debug)]
-pub struct ThreadedConfig {
-    /// Channel capacity for connectors without an explicit `depth` setting.
-    pub default_depth: usize,
-}
-
-impl Default for ThreadedConfig {
-    fn default() -> Self {
-        ThreadedConfig { default_depth: 64 }
-    }
-}
-
-/// Result of one threaded graph execution.
-#[derive(Clone, Debug)]
-pub struct ThreadReport {
-    /// OS threads used (kernels + sources + sinks).
-    pub threads: usize,
-    /// Wall-clock time of the parallel phase.
-    pub wall_time: Duration,
-    /// Sum of busy time across all threads (can exceed `wall_time` when the
-    /// run actually exploited parallelism — the paper's farrow observation
-    /// that x86sim "utilizes two CPU cores fully").
-    pub cpu_time: Duration,
-    /// Per-connector channel counters `(name, stats)`, in connector order —
-    /// the same shape as `cgsim_runtime::RunReport::channels`, so the
-    /// conformance harness applies one conservation check to both backends.
-    pub channels: Vec<(String, ChannelStats)>,
-}
-
+/// One thread's job: bind its endpoints, wait at the start barrier, run,
+/// and return its busy time.
 type WorkItem = Box<dyn FnOnce(&Barrier) -> Duration + Send>;
 
 /// A single threaded execution instance of a compute graph.
 ///
-/// Construction registers one work item per kernel; [`Self::feed`] /
-/// [`Self::collect`] add source and sink threads; [`Self::run`] spawns
-/// everything behind a start barrier (so every channel endpoint registers
-/// before any data flows) and joins.
+/// Construction registers one work item per kernel; `feed` / `collect` add
+/// source and sink threads; `run` spawns everything behind a start barrier
+/// (so every channel endpoint registers before any data flows) and joins.
+///
+/// Of the [`RuntimeConfig`] only `default_depth` applies: schedule, faults,
+/// profiling, poll budget and deadline are properties of a cooperative
+/// scheduler, which this engine does not have. Channels are the
+/// mutex-guarded [`ChannelMode::Shared`] kind, since their endpoints live
+/// on different threads.
 pub struct ThreadedContext<'g> {
-    graph: &'g FlatGraph,
-    channels: Vec<AnyChannel>,
-    work: Vec<WorkItem>,
-    fed_inputs: Vec<bool>,
-    bound_outputs: Vec<bool>,
+    io: IoWiring<'g>,
+    work: Vec<(String, WorkItem)>,
     spawn_errors: Arc<Mutex<Vec<GraphError>>>,
+}
+
+/// Work item that builds a source or sink coroutine on its own thread (so
+/// only what `make` captures has to be `Send`), then runs it once every
+/// thread has arrived.
+fn io_thread<F: Future<Output = ()>>(make: impl FnOnce() -> F + Send + 'static) -> WorkItem {
+    Box::new(move |barrier: &Barrier| {
+        let fut = make();
+        barrier.wait();
+        let start = Instant::now();
+        block_on(fut);
+        start.elapsed()
+    })
 }
 
 impl<'g> ThreadedContext<'g> {
@@ -108,56 +100,24 @@ impl<'g> ThreadedContext<'g> {
     pub fn new(
         graph: &'g FlatGraph,
         library: &'g KernelLibrary,
-        config: ThreadedConfig,
+        config: RuntimeConfig,
     ) -> Result<Self, GraphError> {
         graph.validate()?;
-
-        let mut channels: Vec<AnyChannel> = Vec::with_capacity(graph.connectors.len());
-        for (ci, conn) in graph.connectors.iter().enumerate() {
-            let capacity = if conn.settings.depth != 0 {
-                conn.settings.depth as usize
-            } else {
-                config.default_depth
-            };
-            let endpoint = graph.kernels.iter().enumerate().find_map(|(ki, k)| {
-                k.ports
-                    .iter()
-                    .position(|p| p.connector.index() == ci)
-                    .map(|pi| (ki, pi))
-            });
-            match endpoint {
-                Some((ki, pi)) => {
-                    let entry = library.get(&graph.kernels[ki].kind)?;
-                    // `make_channel` builds mutex-guarded (`Shared`) channels
-                    // — mandatory here: endpoints live on kernel threads, so
-                    // the cooperative runtime's single-thread fast path
-                    // (`ChannelMode::SingleThread`) must never be used.
-                    channels.push(entry.make_channel(pi, capacity)?);
-                }
-                None => channels.push(AnyChannel::placeholder()),
-            }
-        }
-
-        let spawn_errors = Arc::new(Mutex::new(Vec::new()));
-        let mut ctx = ThreadedContext {
+        let io = IoWiring::new(
             graph,
-            channels,
-            work: Vec::new(),
-            fed_inputs: vec![false; graph.inputs.len()],
-            bound_outputs: vec![false; graph.outputs.len()],
-            spawn_errors,
-        };
-
+            library,
+            declared_capacities(graph, config.default_depth),
+            ChannelMode::Shared,
+            Tracer::default(),
+        )?;
+        let spawn_errors = Arc::new(Mutex::new(Vec::new()));
+        let mut work: Vec<(String, WorkItem)> = Vec::new();
         for k in &graph.kernels {
             let entry = Arc::clone(library.get(&k.kind)?);
-            let kernel_channels: Vec<AnyChannel> = k
-                .ports
-                .iter()
-                .map(|p| ctx.channels[p.connector.index()].clone())
-                .collect();
+            let kernel_channels = io.kernel_channels(k);
             let instance = k.instance.clone();
-            let errors = Arc::clone(&ctx.spawn_errors);
-            ctx.work.push(Box::new(move |barrier: &Barrier| {
+            let errors = Arc::clone(&spawn_errors);
+            let item: WorkItem = Box::new(move |barrier: &Barrier| {
                 // Phase 1: bind ports (registers all channel endpoints).
                 let mut binder = PortBinder::new(&instance, &kernel_channels);
                 let fut = entry.spawn(&mut binder);
@@ -175,150 +135,98 @@ impl<'g> ThreadedContext<'g> {
                         Duration::ZERO
                     }
                 }
-            }));
+            });
+            work.push((k.instance.clone(), item));
         }
-        Ok(ctx)
-    }
-
-    fn typed_channel<T: StreamData>(
-        &mut self,
-        connector: ConnectorId,
-    ) -> Result<Arc<Channel<T>>, GraphError> {
-        let slot = &mut self.channels[connector.index()];
-        if let Ok(chan) = slot.clone().downcast::<Channel<T>>() {
-            return Ok(chan);
-        }
-        if slot.clone().downcast::<()>().is_ok() {
-            let chan = Channel::<T>::new(64);
-            *slot = AnyChannel::typed(chan.clone());
-            return Ok(chan);
-        }
-        Err(GraphError::IoTypeMismatch {
-            connector,
-            expected: Box::new(self.graph.connectors[connector.index()].dtype.clone()),
+        Ok(ThreadedContext {
+            io,
+            work,
+            spawn_errors,
         })
     }
+}
 
+impl Session for ThreadedContext<'_> {
     /// Attach a data-source thread feeding positional global input `index`.
-    pub fn feed<T: StreamData>(
+    fn feed<T: StreamData>(
         &mut self,
         index: usize,
         data: impl IntoIterator<Item = T> + Send + 'static,
     ) -> Result<(), GraphError> {
-        let Some(&connector) = self.graph.inputs.get(index) else {
-            return Err(GraphError::IoArityMismatch {
-                what: "inputs",
-                expected: self.graph.inputs.len(),
-                actual: index + 1,
-            });
-        };
-        let chan = self.typed_channel::<T>(connector)?;
-        self.fed_inputs[index] = true;
-        self.work.push(Box::new(move |barrier: &Barrier| {
-            let mut tx = chan.add_producer();
-            barrier.wait();
-            let start = Instant::now();
-            block_on(async move {
-                for v in data {
-                    tx.send(v).await;
-                }
-            });
-            start.elapsed()
-        }));
+        let tx = self.io.producer::<T>(index)?;
+        let item = io_thread(move || source(tx, data));
+        self.work.push((format!("source_{index}"), item));
         Ok(())
     }
 
     /// Attach a data-sink thread collecting positional global output
-    /// `index`. Results become available after [`Self::run`].
-    pub fn collect<T: StreamData>(&mut self, index: usize) -> Result<SinkHandle<T>, GraphError> {
-        let Some(&connector) = self.graph.outputs.get(index) else {
-            return Err(GraphError::IoArityMismatch {
-                what: "outputs",
-                expected: self.graph.outputs.len(),
-                actual: index + 1,
-            });
-        };
-        let chan = self.typed_channel::<T>(connector)?;
-        self.bound_outputs[index] = true;
+    /// `index`.
+    fn collect_bounded<T: StreamData>(
+        &mut self,
+        index: usize,
+        limit: usize,
+    ) -> Result<SinkHandle<T>, GraphError> {
+        let rx = self.io.consumer::<T>(index)?;
         let handle = SinkHandle::new();
-        let data = handle.shared();
-        self.work.push(Box::new(move |barrier: &Barrier| {
-            let mut rx = chan.add_consumer();
-            barrier.wait();
-            let start = Instant::now();
-            block_on(async move {
-                while let Some(v) = rx.recv().await {
-                    data.lock().unwrap().push(v);
-                }
-            });
-            start.elapsed()
-        }));
+        let out = handle.shared();
+        let item = io_thread(move || sink(rx, out, limit));
+        self.work.push((format!("sink_{index}"), item));
         Ok(handle)
     }
 
     /// Spawn all threads behind a common start barrier, run the graph, and
-    /// join. Mirrors x86sim's execution model.
-    pub fn run(self) -> Result<ThreadReport, GraphError> {
-        if let Some(missing) = self.fed_inputs.iter().position(|f| !f) {
-            return Err(GraphError::IoArityMismatch {
-                what: "inputs",
-                expected: self.graph.inputs.len(),
-                actual: missing,
-            });
-        }
-        if let Some(missing) = self.bound_outputs.iter().position(|f| !f) {
-            return Err(GraphError::IoArityMismatch {
-                what: "outputs",
-                expected: self.graph.outputs.len(),
-                actual: missing,
-            });
-        }
-
-        let threads = self.work.len();
-        let barrier = Arc::new(Barrier::new(threads));
+    /// join. Mirrors x86sim's execution model. The report's `total_time` is
+    /// the wall-clock time of the parallel phase and `kernel_time` the busy
+    /// time summed over all threads, which exceeds the wall time when the
+    /// run actually exploited parallelism (the paper's farrow observation
+    /// that x86sim "utilizes two CPU cores fully").
+    fn run(self) -> Result<RunReport, GraphError> {
+        self.io.check_complete()?;
+        let tasks = self.work.len();
+        let barrier = Arc::new(Barrier::new(tasks));
         let start = Instant::now();
         let handles: Vec<_> = self
             .work
             .into_iter()
             .enumerate()
-            .map(|(i, item)| {
+            .map(|(i, (label, item))| {
                 let barrier = Arc::clone(&barrier);
-                std::thread::Builder::new()
+                let handle = std::thread::Builder::new()
                     .name(format!("cgsim-thread-{i}"))
                     .spawn(move || item(&barrier))
-                    .expect("spawn simulation thread")
+                    .expect("spawn simulation thread");
+                (label, handle)
             })
             .collect();
-        let mut cpu_time = Duration::ZERO;
-        for h in handles {
-            cpu_time += h.join().expect("simulation thread panicked");
-        }
-        let wall_time = start.elapsed();
+        let profiles: Vec<TaskProfile> = handles
+            .into_iter()
+            .map(|(label, h)| TaskProfile {
+                label,
+                polls: 0,
+                busy: h.join().expect("simulation thread panicked"),
+                completed: true,
+            })
+            .collect();
+        let total_time = start.elapsed();
 
         let errors = std::mem::take(&mut *self.spawn_errors.lock());
         if let Some(e) = errors.into_iter().next() {
             return Err(e);
         }
-        let channels = self
-            .channels
-            .iter()
-            .enumerate()
-            .filter_map(|(ci, c)| {
-                c.admin().map(|a| {
-                    let name = self.graph.connectors[ci]
-                        .attrs
-                        .get_str("name")
-                        .map(str::to_owned)
-                        .unwrap_or_else(|| format!("c{ci}"));
-                    (name, a.stats())
-                })
-            })
-            .collect();
-        Ok(ThreadReport {
-            threads,
-            wall_time,
-            cpu_time,
-            channels,
+        Ok(RunReport {
+            exec: ExecStats {
+                tasks,
+                completed: tasks,
+                kernel_time: profiles.iter().map(|p| p.busy).sum(),
+                total_time,
+                ..ExecStats::default()
+            },
+            stalled: Vec::new(),
+            elements_moved: self.io.elements_moved(),
+            tasks: profiles,
+            channels: self.io.channel_stats(),
+            trace: Tracer::default().snapshot(),
+            bounds_violations: Vec::new(),
         })
     }
 }
@@ -366,11 +274,11 @@ mod tests {
         })
         .unwrap();
         let lib = library();
-        let mut ctx = ThreadedContext::new(&graph, &lib, ThreadedConfig::default()).unwrap();
+        let mut ctx = ThreadedContext::new(&graph, &lib, RuntimeConfig::default()).unwrap();
         ctx.feed(0, vec![10i64, 20, 30]).unwrap();
         let out = ctx.collect::<i64>(0).unwrap();
         let report = ctx.run().unwrap();
-        assert_eq!(report.threads, 3);
+        assert_eq!(report.exec.tasks, 3);
         assert_eq!(out.take(), vec![11, 21, 31]);
         // Channel counters survive the parallel run: both connectors moved
         // 3 elements each way.
@@ -396,11 +304,11 @@ mod tests {
         })
         .unwrap();
         let lib = library();
-        let mut ctx = ThreadedContext::new(&graph, &lib, ThreadedConfig::default()).unwrap();
+        let mut ctx = ThreadedContext::new(&graph, &lib, RuntimeConfig::default()).unwrap();
         ctx.feed(0, (0..1000i64).collect::<Vec<_>>()).unwrap();
         let out = ctx.collect::<i64>(0).unwrap();
         let report = ctx.run().unwrap();
-        assert_eq!(report.threads, DEPTH + 2);
+        assert_eq!(report.exec.tasks, DEPTH + 2);
         let got = out.take();
         assert_eq!(got.len(), 1000);
         assert!(got
@@ -423,7 +331,7 @@ mod tests {
         })
         .unwrap();
         let lib = library();
-        let mut ctx = ThreadedContext::new(&graph, &lib, ThreadedConfig::default()).unwrap();
+        let mut ctx = ThreadedContext::new(&graph, &lib, RuntimeConfig::default()).unwrap();
         ctx.feed(0, vec![1i64, 2, 3]).unwrap();
         let out = ctx.collect::<i64>(0).unwrap();
         ctx.run().unwrap();
@@ -444,7 +352,7 @@ mod tests {
         })
         .unwrap();
         let lib = library();
-        let mut ctx = ThreadedContext::new(&graph, &lib, ThreadedConfig::default()).unwrap();
+        let mut ctx = ThreadedContext::new(&graph, &lib, RuntimeConfig::default()).unwrap();
         ctx.feed(0, vec![1i64, 2, 3]).unwrap();
         ctx.feed(1, vec![10i64, 20, 30]).unwrap();
         let out = ctx.collect::<i64>(0).unwrap();
@@ -463,13 +371,13 @@ mod tests {
         })
         .unwrap();
         let lib = library();
-        let ctx = ThreadedContext::new(&graph, &lib, ThreadedConfig::default()).unwrap();
+        let ctx = ThreadedContext::new(&graph, &lib, RuntimeConfig::default()).unwrap();
         assert!(matches!(ctx.run(), Err(GraphError::IoArityMismatch { .. })));
     }
 
     #[test]
     fn results_match_cooperative_runtime() {
-        use cgsim_runtime::{RuntimeConfig, RuntimeContext};
+        use cgsim_runtime::RuntimeContext;
         let build = || {
             GraphBuilder::build("pipe", |g| {
                 let a = g.input::<i64>("a");
@@ -492,7 +400,7 @@ mod tests {
         coop.run().unwrap();
 
         let graph = build();
-        let mut thr = ThreadedContext::new(&graph, &lib, ThreadedConfig::default()).unwrap();
+        let mut thr = ThreadedContext::new(&graph, &lib, RuntimeConfig::default()).unwrap();
         thr.feed(0, input).unwrap();
         let thr_out = thr.collect::<i64>(0).unwrap();
         thr.run().unwrap();

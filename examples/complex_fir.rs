@@ -12,7 +12,9 @@
 use cgsim::intrinsics::complex::{cmag_sq, CAccI48, CInt16};
 use cgsim::intrinsics::fixed::quantize_q15;
 use cgsim::intrinsics::Vector;
-use cgsim::runtime::{compute_graph, compute_kernel, KernelLibrary, RuntimeConfig, RuntimeContext};
+use cgsim::runtime::{
+    compute_graph, compute_kernel, KernelLibrary, RuntimeConfig, RuntimeContext, Session,
+};
 
 /// Correlator lanes per vector iteration.
 const LANES: usize = 8;

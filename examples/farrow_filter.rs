@@ -9,7 +9,7 @@ use cgsim::graphs::farrow::{
     build_graph, farrow_comb_kernel, farrow_fir_kernel, reference, BLOCK_SAMPLES, QBITS,
 };
 use cgsim::intrinsics::fixed::{dequantize_q15, quantize_q15};
-use cgsim::runtime::{KernelLibrary, RuntimeConfig, RuntimeContext};
+use cgsim::runtime::{KernelLibrary, RuntimeConfig, RuntimeContext, Session};
 
 /// A Q15 sine test vector (one block).
 fn sine_input() -> Vec<i16> {

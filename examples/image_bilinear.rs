@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example image_bilinear`
 
 use cgsim::graphs::bilinear::{bilinear_kernel, build_graph, PixelQuad, LANES};
-use cgsim::runtime::{KernelLibrary, RuntimeConfig, RuntimeContext};
+use cgsim::runtime::{KernelLibrary, RuntimeConfig, RuntimeContext, Session};
 
 const W: usize = 64;
 const H: usize = 64;

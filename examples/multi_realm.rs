@@ -10,7 +10,9 @@
 use cgsim::core::{to_dot_styled, Realm};
 use cgsim::extract::Extractor;
 use cgsim::lint::{dot_style, lint_graph, LintConfig};
-use cgsim::runtime::{compute_graph, compute_kernel, KernelLibrary, RuntimeConfig, RuntimeContext};
+use cgsim::runtime::{
+    compute_graph, compute_kernel, KernelLibrary, RuntimeConfig, RuntimeContext, Session,
+};
 use cgsim::sim::{
     simulate_graph, KernelCostProfile, PortTraffic, SimConfig, SimReport, WorkloadSpec,
 };

@@ -13,7 +13,7 @@
 //! `cargo run --example pool_observer`.
 
 use cgsim::pool::{Job, JobOutcome, JobOutput, ObserverConfig, Pool, PoolConfig};
-use cgsim::runtime::RunSpec;
+use cgsim::runtime::{RunSpec, Session};
 use cgsim::trace::export::prometheus;
 use cgsim::{compute_kernel, GraphBuilder, KernelLibrary};
 use std::time::Duration;

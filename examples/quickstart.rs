@@ -9,7 +9,9 @@
 //! `chrome://tracing` or `ui.perfetto.dev`): one track per kernel, channel
 //! occupancy counters, blocked intervals.
 
-use cgsim::runtime::{compute_graph, compute_kernel, KernelLibrary, RuntimeConfig, RuntimeContext};
+use cgsim::runtime::{
+    compute_graph, compute_kernel, KernelLibrary, RuntimeConfig, RuntimeContext, Session,
+};
 use cgsim::trace::Tracer;
 
 compute_kernel! {

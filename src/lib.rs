@@ -31,4 +31,6 @@ pub use cgsim_threads as threads;
 pub use cgsim_trace as trace;
 
 pub use cgsim_core::{Connector, FlatGraph, GraphBuilder, GraphError, PortSettings, Realm};
-pub use cgsim_runtime::{compute_kernel, KernelLibrary, RuntimeConfig, RuntimeContext, SinkHandle};
+pub use cgsim_runtime::{
+    compute_kernel, KernelLibrary, RuntimeConfig, RuntimeContext, Session, SinkHandle,
+};

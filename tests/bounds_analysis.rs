@@ -5,7 +5,9 @@
 
 use cgsim::graphs::all_apps;
 use cgsim::lint::{lint_graph, occupancy_bounds, LintConfig};
-use cgsim::{RuntimeConfig, RuntimeContext};
+use cgsim::runtime::RunReport;
+use cgsim::threads::ThreadedContext;
+use cgsim::{GraphBuilder, KernelLibrary, PortSettings, RuntimeConfig, RuntimeContext, Session};
 use cgsim_check::gen::{self, GenConfig, GeneratedCase};
 use proptest::prelude::*;
 
@@ -17,15 +19,6 @@ fn lint_cfg() -> LintConfig {
         default_depth: RuntimeConfig::default().default_depth as u32,
         ..LintConfig::default()
     }
-}
-
-/// The connector name as the runtime reports it in `RunReport::channels`.
-fn connector_name(graph: &cgsim::FlatGraph, ci: usize) -> String {
-    graph.connectors[ci]
-        .attrs
-        .get_str("name")
-        .map(str::to_owned)
-        .unwrap_or_else(|| format!("c{ci}"))
 }
 
 /// The per-connector bounds table of every paper graph is part of the
@@ -107,7 +100,7 @@ fn has_merge(case: &GeneratedCase) -> bool {
 /// Run one generated case on the cooperative runtime and return the
 /// finished run report (outputs are discarded; the channels' high-water
 /// marks are the subject here).
-fn run_case(case: &GeneratedCase, config: RuntimeConfig) -> cgsim::runtime::RunReport {
+fn run_case(case: &GeneratedCase, config: RuntimeConfig) -> RunReport {
     let lib = cgsim_check::kernels::library();
     let mut ctx = RuntimeContext::new(&case.graph, &lib, config).unwrap();
     for (i, feed) in case.feeds.iter().enumerate() {
@@ -141,7 +134,7 @@ proptest! {
         let bounds = occupancy_bounds(&case.graph, &lint_cfg(), &feed_lens)
             .expect("merge-free generated cases are acyclic with fed kernels");
         let by_name: std::collections::HashMap<String, u64> = (0..case.graph.connectors.len())
-            .map(|ci| (connector_name(&case.graph, ci), bounds[ci]))
+            .map(|ci| (case.graph.connector_name(ci), bounds[ci]))
             .collect();
         let configs = [
             RuntimeConfig::default(),
@@ -215,4 +208,52 @@ fn runtime_bounds_check_mode_records_violations() {
     for s in &sinks {
         s.take();
     }
+}
+
+/// A connector without a kernel endpoint (a global input wired straight to
+/// the output) gets the capacity its declared depth asks for — not a fixed
+/// one — on the cooperative and threaded engines, so the `CG060` bound
+/// armed on it holds.
+#[test]
+fn passthrough_connector_honours_declared_depth() {
+    let graph = GraphBuilder::build("passthrough", |g| {
+        let a = g.input::<i64>("a");
+        g.connector_settings(&a, PortSettings::new().depth(4));
+        g.output(&a);
+        Ok(())
+    })
+    .unwrap();
+    let feed: Vec<i64> = (0..200).collect();
+    let bounds = occupancy_bounds(&graph, &lint_cfg(), &[feed.len() as u64])
+        .expect("a passthrough graph has static bounds");
+    assert_eq!(bounds, vec![4]);
+
+    let lib = KernelLibrary::new();
+    let config = RuntimeConfig::default().with_default_depth(8);
+    let mut coop = RuntimeContext::new(&graph, &lib, config).unwrap();
+    coop.set_bounds_check(bounds.clone());
+    let coop = drain(coop, feed.clone());
+    assert_eq!(coop.bounds_violations, vec![], "cooperative");
+    let threaded = drain(ThreadedContext::new(&graph, &lib, config).unwrap(), feed);
+    for (engine, report) in [("cooperative", &coop), ("threaded", &threaded)] {
+        let (name, stats) = &report.channels[0];
+        assert_eq!(name, "a");
+        assert_eq!(stats.pushes, 200, "{engine}");
+        assert!(
+            stats.max_occupancy <= bounds[0],
+            "{engine}: occupancy {} exceeds the declared depth {}",
+            stats.max_occupancy,
+            bounds[0]
+        );
+    }
+}
+
+/// Feed `feed` into input 0, collect output 0 to the end and run.
+fn drain(mut ctx: impl Session, feed: Vec<i64>) -> RunReport {
+    ctx.feed(0, feed.clone()).unwrap();
+    let out = ctx.collect::<i64>(0).unwrap();
+    let report = ctx.run().unwrap();
+    assert!(report.drained());
+    assert_eq!(out.take(), feed);
+    report
 }

@@ -1,13 +1,13 @@
 //! Helpers shared by the integration tests: the build-feed-collect-run
-//! boilerplate around both functional runtimes, deduplicated from the
+//! boilerplate around the functional engines, deduplicated from the
 //! individual test files. Each test binary compiles its own copy and uses a
 //! subset, hence the `dead_code` allowance.
 
 #![allow(dead_code)]
 
 use cgsim::core::{FlatGraph, StreamData};
-use cgsim::runtime::{KernelLibrary, RuntimeConfig, RuntimeContext, Schedule};
-use cgsim::threads::{ThreadedConfig, ThreadedContext};
+use cgsim::runtime::{KernelLibrary, RuntimeConfig, RuntimeContext, Session};
+use cgsim::threads::ThreadedContext;
 
 /// Run `graph` on the cooperative runtime under the default FIFO schedule:
 /// feed `inputs` positionally, require the run to drain, return output 0.
@@ -16,25 +16,8 @@ pub fn run_coop<TIn: StreamData, TOut: StreamData>(
     lib: &KernelLibrary,
     inputs: Vec<Vec<TIn>>,
 ) -> Vec<TOut> {
-    run_coop_scheduled(graph, lib, inputs, Schedule::Fifo)
-}
-
-/// [`run_coop`] under an explicit ready-list schedule (e.g.
-/// `Schedule::Seeded(seed)` for a replayable permutation).
-pub fn run_coop_scheduled<TIn: StreamData, TOut: StreamData>(
-    graph: &FlatGraph,
-    lib: &KernelLibrary,
-    inputs: Vec<Vec<TIn>>,
-    schedule: Schedule,
-) -> Vec<TOut> {
-    let mut ctx = RuntimeContext::new(graph, lib, RuntimeConfig::scheduled(schedule)).unwrap();
-    for (i, input) in inputs.into_iter().enumerate() {
-        ctx.feed(i, input).unwrap();
-    }
-    let out = ctx.collect::<TOut>(0).unwrap();
-    let report = ctx.run().unwrap();
-    assert!(report.drained(), "graph stalled: {:?}", report.stalled);
-    out.take()
+    let ctx = RuntimeContext::new(graph, lib, RuntimeConfig::default()).unwrap();
+    run_session(ctx, inputs)
 }
 
 /// Run `graph` on the thread-per-kernel runtime; same contract as
@@ -44,11 +27,21 @@ pub fn run_threaded<TIn: StreamData, TOut: StreamData>(
     lib: &KernelLibrary,
     inputs: Vec<Vec<TIn>>,
 ) -> Vec<TOut> {
-    let mut ctx = ThreadedContext::new(graph, lib, ThreadedConfig::default()).unwrap();
+    let ctx = ThreadedContext::new(graph, lib, RuntimeConfig::default()).unwrap();
+    run_session(ctx, inputs)
+}
+
+/// Feed `inputs` positionally into any engine's session, require the run to
+/// drain, return output 0.
+pub fn run_session<S: Session, TIn: StreamData, TOut: StreamData>(
+    mut ctx: S,
+    inputs: Vec<Vec<TIn>>,
+) -> Vec<TOut> {
     for (i, input) in inputs.into_iter().enumerate() {
         ctx.feed(i, input).unwrap();
     }
     let out = ctx.collect::<TOut>(0).unwrap();
-    ctx.run().unwrap();
+    let report = ctx.run().unwrap();
+    assert!(report.drained(), "graph stalled: {:?}", report.stalled);
     out.take()
 }

@@ -5,8 +5,8 @@
 //! the schedule-derived buffer bound must never block a writer.
 
 use cgsim::compiled::{compile, CompiledContext, CompiledPlan, LintConfig};
-use cgsim::graphs::all_apps;
-use cgsim::{RuntimeConfig, RuntimeContext};
+use cgsim::graphs::{all_apps, RunSpec};
+use cgsim::{RuntimeConfig, RuntimeContext, Session};
 use cgsim_check::gen::{self, GenConfig, GeneratedCase};
 use proptest::prelude::*;
 
@@ -67,8 +67,7 @@ fn has_merge(case: &GeneratedCase) -> bool {
 /// capacity").
 fn run_compiled_case(case: &GeneratedCase, plan: &CompiledPlan) -> Vec<Vec<i64>> {
     let lib = cgsim_check::kernels::library();
-    let mut ctx =
-        CompiledContext::with_plan(&case.graph, &lib, plan.clone(), RuntimeConfig::default());
+    let mut ctx = CompiledContext::with_plan(&case.graph, &lib, plan.clone(), &RunSpec::default());
     for (i, feed) in case.feeds.iter().enumerate() {
         ctx.feed(i, feed.clone()).unwrap();
     }

@@ -6,7 +6,9 @@ mod common;
 
 use cgsim::core::GraphBuilder;
 use cgsim::extract::Extractor;
-use cgsim::runtime::{compute_kernel, KernelLibrary, RuntimeConfig, RuntimeContext, VerifyPolicy};
+use cgsim::runtime::{
+    compute_kernel, KernelLibrary, RuntimeConfig, RuntimeContext, Session, VerifyPolicy,
+};
 
 compute_kernel! {
     /// Adds pairs from two streams — deadlocks if one stream is starved.

@@ -1,8 +1,9 @@
 //! Figure 6 / §5 integration: every ported evaluation graph produces
-//! bit-identical results on the cooperative runtime (cgsim), the
-//! thread-per-kernel runtime (x86sim substitute), and against its scalar
-//! golden reference — and simulates cleanly on the cycle-approximate
-//! simulator under both code-generation variants.
+//! bit-identical results on the cooperative runtime (cgsim), the compiled
+//! static-schedule engine, the thread-per-kernel runtime (x86sim
+//! substitute), and against its scalar golden reference — and simulates
+//! cleanly on the cycle-approximate simulator under both code-generation
+//! variants.
 
 use cgsim::graphs::{all_apps, Backend, RunSpec};
 use cgsim::sim::{simulate_graph, SimConfig};
@@ -10,23 +11,27 @@ use cgsim::sim::{simulate_graph, SimConfig};
 #[test]
 fn all_apps_verify_on_both_runtimes_and_agree() {
     for app in all_apps() {
-        let coop = app
-            .run_spec(&RunSpec::for_graph(app.name()), 4)
-            .unwrap_or_else(|e| panic!("{} cooperative: {e}", app.name()));
-        let threaded = app
-            .run_spec(
-                &RunSpec::for_graph(app.name()).backend(Backend::Threaded),
-                4,
-            )
-            .unwrap_or_else(|e| panic!("{} threaded: {e}", app.name()));
-        assert_eq!(
-            coop.checksum,
-            threaded.checksum,
-            "{}: runtimes disagree",
-            app.name()
-        );
-        assert_eq!(coop.out_elems, threaded.out_elems);
-        assert!(coop.out_elems > 0);
+        let mut checksums = Vec::new();
+        for backend in [Backend::Cooperative, Backend::Threaded, Backend::Compiled] {
+            let run = app
+                .run_spec(&RunSpec::for_graph(app.name()).backend(backend), 4)
+                .unwrap_or_else(|e| panic!("{} {backend:?}: {e}", app.name()));
+            assert!(run.out_elems > 0, "{} {backend:?}: no output", app.name());
+            let report = run
+                .report
+                .unwrap_or_else(|| panic!("{} {backend:?}: no run report", app.name()));
+            assert!(report.drained(), "{} {backend:?}", app.name());
+            checksums.push((backend, run.checksum, run.out_elems));
+        }
+        let (_, checksum, elems) = checksums[0];
+        for &(backend, c, n) in &checksums[1..] {
+            assert_eq!(
+                (c, n),
+                (checksum, elems),
+                "{}: {backend:?} disagrees with the cooperative runtime",
+                app.name()
+            );
+        }
     }
 }
 

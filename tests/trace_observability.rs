@@ -9,7 +9,7 @@ use std::collections::HashMap;
 
 use cgsim::graphs::all_apps;
 use cgsim::runtime::{
-    compute_graph, compute_kernel, KernelLibrary, Profiling, RuntimeConfig, RuntimeContext,
+    compute_graph, compute_kernel, KernelLibrary, Profiling, RuntimeConfig, RuntimeContext, Session,
 };
 use cgsim::sim::{simulate_graph_traced, SimConfig, SimReport};
 use cgsim::trace::export::prometheus;

@@ -6,7 +6,7 @@
 //! version in `cgsim-serve::wire` *and* regenerate the fixture — silently
 //! re-pinning would break deployed clients.
 
-use cgsim::graphs::{Backend, ChannelMode, Profiling, RunSpec, Schedule};
+use cgsim::graphs::{Backend, Profiling, RunSpec, Schedule};
 use cgsim::lint::VerifyPolicy;
 use proptest::prelude::*;
 use std::time::Duration;
@@ -20,7 +20,6 @@ fn golden_spec() -> RunSpec {
         .schedule(Schedule::Seeded(42))
         .default_depth(16)
         .profiling(Profiling::Full)
-        .channels(ChannelMode::Shared)
         .verify(VerifyPolicy::Warn)
         .deadline(Duration::from_millis(250))
 }
@@ -35,7 +34,6 @@ fn golden_fixture_deserializes_to_every_axis() {
     assert_eq!(cfg.schedule, Schedule::Seeded(42));
     assert_eq!(cfg.default_depth, 16);
     assert_eq!(cfg.profiling, Profiling::Full);
-    assert_eq!(cfg.channels, ChannelMode::Shared);
     assert_eq!(cfg.verify, VerifyPolicy::Warn);
     assert_eq!(cfg.max_polls, None);
     assert!(cfg.faults.is_none());
@@ -68,6 +66,17 @@ fn sparse_request_fills_builder_defaults() {
     assert_eq!(spec.deadline_budget(), None);
 }
 
+#[test]
+fn retired_channels_field_still_decodes() {
+    // Payloads from before the channel storage policy left the run
+    // configuration carry `"channels"`; it is ignored, not rejected.
+    let spec: RunSpec =
+        serde_json::from_str(r#"{"label":"old","config":{"channels":"shared","default_depth":8}}"#)
+            .expect("parses");
+    assert_eq!(spec.config().default_depth, 8);
+    assert!(!serde_json::to_string(&spec).unwrap().contains("channels"));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -96,7 +105,6 @@ proptest! {
             .schedule(schedule)
             .default_depth(depth)
             .profiling(profiling)
-            .channels(ChannelMode::Shared)
             .verify(VerifyPolicy::Warn);
         if deadline_ns > 0 {
             spec = spec.deadline(Duration::from_nanos(deadline_ns));
@@ -110,7 +118,6 @@ proptest! {
         prop_assert_eq!(back.config().schedule, spec.config().schedule);
         prop_assert_eq!(back.config().default_depth, spec.config().default_depth);
         prop_assert_eq!(back.config().profiling, spec.config().profiling);
-        prop_assert_eq!(back.config().channels, spec.config().channels);
         prop_assert_eq!(back.config().verify, spec.config().verify);
 
         // A second trip must be byte-stable: serialize(deserialize(j)) == j.
